@@ -1,5 +1,7 @@
 #include "catalog/calendar_catalog.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 #include "common/strings.h"
 #include "core/generate.h"
@@ -430,7 +432,53 @@ Result<std::optional<TimePoint>> FirstPointAfter(const TimeSystem& ts,
   return best;
 }
 
+// Refills `cursor` with `value` (the plan's result over `window`): its
+// leaves in `unit` points, sorted and with overlapping ones merged.  Each
+// run is then contiguous and runs are disjoint with increasing bounds, so
+// the first run ending after a point holds the earliest covered point
+// after it — the same point FirstPointAfter finds over the raw leaves.
+// A non-calendar value covers no point.
+Status FillCursor(const TimeSystem& ts, const ScriptValue& value,
+                  const Interval& window, Granularity unit, uint64_t version,
+                  NextFireCursor* cursor) {
+  cursor->version = 0;  // empty until the runs are complete
+  cursor->runs.clear();
+  if (value.kind == ScriptValue::Kind::kCalendar) {
+    for (const Interval& i : value.calendar.Leaves()) {
+      CALDB_ASSIGN_OR_RETURN(
+          Interval points,
+          IntervalToUnit(ts, value.calendar.granularity(), i, unit));
+      cursor->runs.push_back(points);
+    }
+  }
+  std::sort(cursor->runs.begin(), cursor->runs.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  size_t merged = 0;
+  for (const Interval& run : cursor->runs) {
+    if (merged > 0 && run.lo <= cursor->runs[merged - 1].hi) {
+      Interval& last = cursor->runs[merged - 1];
+      last.hi = std::max(last.hi, run.hi);
+    } else {
+      cursor->runs[merged++] = run;
+    }
+  }
+  cursor->runs.resize(merged);
+  cursor->unit = unit;
+  cursor->window_days = window;
+  cursor->version = version;
+  return Status::OK();
+}
+
 }  // namespace
+
+std::optional<TimePoint> NextFireCursor::FirstPointAfter(
+    TimePoint after) const {
+  auto run = std::upper_bound(
+      runs.begin(), runs.end(), after,
+      [](TimePoint p, const Interval& r) { return p < r.hi; });
+  if (run == runs.end()) return std::nullopt;
+  return run->lo > after ? run->lo : PointAdd(after, 1);
+}
 
 Result<std::optional<TimePoint>> CalendarCatalog::NextFireDay(
     const std::string& name, TimePoint after_day, TimePoint limit_day) const {
@@ -462,7 +510,8 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFireDayForPlan(
 
 Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
     const Plan& plan, TimePoint after_point, TimePoint limit_point,
-    Granularity unit) const {
+    Granularity unit, NextFireCursor* cursor, int* evaluations) const {
+  if (evaluations != nullptr) *evaluations = 0;
   // Convert unit points to a day anchor for the year-aligned search
   // windows.
   CALDB_ASSIGN_OR_RETURN(
@@ -480,16 +529,29 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
   for (int32_t span = 1;; span *= 2) {
     int32_t end_year = std::min<int32_t>(start_year + span - 1, limit_year);
     CALDB_ASSIGN_OR_RETURN(Interval window, YearWindow(start_year, end_year));
-    EvalOptions opts;
-    opts.window_days = window;
-    opts.today_day = after_days.lo;
-    CALDB_ASSIGN_OR_RETURN(ScriptValue value, evaluator.Run(plan, opts));
-    if (value.kind == ScriptValue::Kind::kCalendar) {
-      CALDB_ASSIGN_OR_RETURN(
-          std::optional<TimePoint> hit,
-          FirstPointAfter(time_system_, value.calendar, after_point, unit));
-      if (hit.has_value() && *hit <= limit_point) return hit;
+    // Read before evaluating: a definition racing the evaluation leaves
+    // the memo under the older version, where no later lookup matches it.
+    const uint64_t at_version = version();
+    std::optional<TimePoint> hit;
+    if (cursor != nullptr && cursor->Holds(at_version, window, unit)) {
+      hit = cursor->FirstPointAfter(after_point);
+    } else {
+      EvalOptions opts;
+      opts.window_days = window;
+      opts.today_day = after_days.lo;
+      CALDB_ASSIGN_OR_RETURN(ScriptValue value, evaluator.Run(plan, opts));
+      if (evaluations != nullptr) ++*evaluations;
+      if (cursor != nullptr && !evaluator.read_today()) {
+        CALDB_RETURN_IF_ERROR(FillCursor(time_system_, value, window, unit,
+                                         at_version, cursor));
+        hit = cursor->FirstPointAfter(after_point);
+      } else if (value.kind == ScriptValue::Kind::kCalendar) {
+        CALDB_ASSIGN_OR_RETURN(
+            hit,
+            FirstPointAfter(time_system_, value.calendar, after_point, unit));
+      }
     }
+    if (hit.has_value() && *hit <= limit_point) return hit;
     if (end_year >= limit_year) return std::optional<TimePoint>(std::nullopt);
   }
 }

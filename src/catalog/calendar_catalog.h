@@ -41,6 +41,30 @@ struct CalendarDef {
   std::optional<Calendar> values;                // explicit values
 };
 
+/// A memo of one next-fire search window, kept per temporal rule: the
+/// points a rule's plan covered when evaluated over `window_days` against
+/// catalog `version`, converted to `unit` points and merged into sorted,
+/// disjoint runs.  NextFirePointForPlan binary-searches it instead of
+/// re-evaluating when its year-doubling search reaches the same window at
+/// the same catalog version and unit.  An evaluation that read `today`
+/// depends on the after-point, so it is never memoized.  The memo holds
+/// exactly what the evaluation would recompute, so a hit returns the same
+/// point as a cursor-less search.
+struct NextFireCursor {
+  uint64_t version = 0;  // 0: empty (catalog versions start at 1)
+  Granularity unit = Granularity::kDays;
+  Interval window_days{1, 1};
+  std::vector<Interval> runs;  // `unit` points, sorted by lo, disjoint
+
+  bool Holds(uint64_t at_version, const Interval& window,
+             Granularity at_unit) const {
+    return version != 0 && version == at_version && unit == at_unit &&
+           window_days == window;
+  }
+  /// The first covered point strictly after `after`, or nullopt.
+  std::optional<TimePoint> FirstPointAfter(TimePoint after) const;
+};
+
 class CalendarCatalog : public CalendarSource {
  public:
   explicit CalendarCatalog(TimeSystem time_system)
@@ -131,10 +155,14 @@ class CalendarCatalog : public CalendarSource {
 
   /// Granularity-generalized next firing: points are granules of `unit`
   /// (HOURS for process-control rules, DAYS for the paper's examples).
-  Result<std::optional<TimePoint>> NextFirePointForPlan(const Plan& plan,
-                                                        TimePoint after_point,
-                                                        TimePoint limit_point,
-                                                        Granularity unit) const;
+  /// With a `cursor`, a window it holds is searched without evaluating,
+  /// and the cursor is refilled from each evaluation that did not read
+  /// `today`.  `*evaluations` (when non-null) is set to the number of plan
+  /// evaluations the search ran: 0 when the cursor answered it.
+  Result<std::optional<TimePoint>> NextFirePointForPlan(
+      const Plan& plan, TimePoint after_point, TimePoint limit_point,
+      Granularity unit, NextFireCursor* cursor = nullptr,
+      int* evaluations = nullptr) const;
 
  private:
   // Requires mu_ held (either mode); callers lock.

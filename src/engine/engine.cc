@@ -413,7 +413,11 @@ void Engine::MaybeCheckpoint() {
   }
   bool expected = true;
   if (!checkpoint_due_.compare_exchange_strong(expected, false)) return;
-  Status st = Checkpoint();
+  // A write landing between the reset above and the exclusive lock sees
+  // the WAL not yet truncated and re-arms the flag; re-checking the size
+  // under the lock keeps that from running a second, near-empty
+  // checkpoint.
+  Status st = CheckpointIfPast(opts_.checkpoint_wal_bytes);
   if (!st.ok()) {
     obs::LogEvent(obs::LogLevel::kWarn, "storage.checkpoint_error",
                   {{"error", st.ToString()}});
@@ -424,8 +428,13 @@ Status Engine::Checkpoint() {
   if (wal_ == nullptr) {
     return Status::InvalidArgument("engine has no data dir to checkpoint to");
   }
+  return CheckpointIfPast(0);
+}
+
+Status Engine::CheckpointIfPast(int64_t min_wal_bytes) {
   try {
     LockManager::Guard lock = AcquireWrite();
+    if (wal_->bytes() < min_wal_bytes) return Status::OK();
     return CheckpointLocked();
   } catch (const std::exception& e) {
     return Status::Internal(std::string("uncaught exception in Checkpoint: ") +

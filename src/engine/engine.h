@@ -343,6 +343,9 @@ class Engine {
   Status LogDurable(storage::WalRecord record);
   /// Snapshot + WAL truncation; caller holds the exclusive lock.
   Status CheckpointLocked();
+  /// Takes the exclusive lock and checkpoints if the WAL then holds at
+  /// least `min_wal_bytes` (0: always).
+  Status CheckpointIfPast(int64_t min_wal_bytes);
   /// Runs a due auto-checkpoint, if flagged.  Must be called lock-free.
   void MaybeCheckpoint();
 

@@ -143,6 +143,12 @@ class Evaluator {
   Result<ScriptValue> Run(const Plan& plan, const EvalOptions& opts,
                           EvalStats* stats = nullptr);
 
+  /// Whether the last Run executed a `today` step, in its own plan or in
+  /// any derived plan it invoked.  A run that did not read `today`
+  /// depends only on the plan, the window and the catalog version, which
+  /// is what lets DBCRON memoize it (CalendarCatalog::NextFireCursor).
+  bool read_today() const { return read_today_; }
+
  private:
   struct Frame;
 
@@ -174,6 +180,7 @@ class Evaluator {
   // The catalog version gen_cache_ content was computed against; Run
   // clears the cache when EvalOptions::catalog_version moves past it.
   uint64_t gen_cache_version_ = 0;
+  bool read_today_ = false;  // see read_today(); reset by each Run
 };
 
 /// Converts a DAYS window to a covering window in `unit` points.

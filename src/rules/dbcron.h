@@ -9,7 +9,7 @@
 // The reproduction drives DBCRON from a virtual clock: AdvanceTo(day)
 // plays time forward, probing RULE-TIME every `probe_period` days (via
 // the B+tree index on next_fire) and firing due rules in time order from
-// a min-heap.
+// an ordered pending set.
 //
 // Direct construction is deprecated for concurrent use: DbCron itself is
 // single-threaded, and running it next to live sessions needs the
@@ -22,8 +22,8 @@
 #ifndef CALDB_RULES_DBCRON_H_
 #define CALDB_RULES_DBCRON_H_
 
-#include <queue>
-#include <vector>
+#include <set>
+#include <utility>
 
 #include "rules/clock.h"
 #include "rules/temporal_rules.h"
@@ -59,16 +59,22 @@ class DbCron {
 
  private:
   // Probes RULE-TIME for rules due in [now, now + T) and loads them into
-  // the in-memory heap.
+  // the pending set.
   Status Probe(TimePoint now);
 
-  using HeapEntry = std::pair<TimePoint, int64_t>;  // (fire_day, rule_id)
+  using PendingEntry = std::pair<TimePoint, int64_t>;  // (fire_day, rule_id)
+
+  // Records pending_'s size in the depth statistics.
+  void NoteDepth();
 
   TemporalRuleManager* rules_;
   VirtualClock* clock_;
   int64_t probe_period_days_;
   TimePoint next_probe_day_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
+  // Due firings, earliest (fire_day, rule_id) first.  Ordered and unique,
+  // so it is both the min-queue and the dedup a re-probe of an already
+  // loaded window needs.
+  std::set<PendingEntry> pending_;
   CronStats stats_;
 };
 

@@ -9,6 +9,19 @@ namespace {
 constexpr char kRuleInfoTable[] = "RULE_INFO";
 constexpr char kRuleTimeTable[] = "RULE_TIME";
 
+struct RuleMetrics {
+  obs::Histogram* next_fire_ns =
+      obs::Metrics().histogram("caldb.rules.next_fire_ns");
+  obs::Counter* cursor_hits =
+      obs::Metrics().counter("caldb.rules.next_fire.cursor_hits");
+  obs::Counter* evals = obs::Metrics().counter("caldb.rules.next_fire.evals");
+};
+
+RuleMetrics& Metrics() {
+  static RuleMetrics* m = new RuleMetrics();
+  return *m;
+}
+
 // Compiles the action command and condition query of a rule being
 // declared or restored, filling the rule's handles.  Fail-fast contract:
 // an action or condition that does not parse (or a condition that is not
@@ -82,6 +95,12 @@ Result<std::unique_ptr<TemporalRuleManager>> TemporalRuleManager::Create(
     CALDB_ASSIGN_OR_RETURN(Table * time_table, db->GetTable(kRuleTimeTable));
     CALDB_RETURN_IF_ERROR(time_table->CreateIndex("next_fire"));
   }
+  // Every firing rewrites its rule's row, found through this index.
+  // Snapshots written before it existed restore RULE_TIME without it.
+  CALDB_ASSIGN_OR_RETURN(Table * time_table, db->GetTable(kRuleTimeTable));
+  if (!time_table->HasIndex("rule_id")) {
+    CALDB_RETURN_IF_ERROR(time_table->CreateIndex("rule_id"));
+  }
   // The action-command escape hatch: fire_day() reads the day the firing
   // rule triggered at.
   TemporalRuleManager* raw = manager.get();
@@ -127,10 +146,9 @@ Result<int64_t> TemporalRuleManager::DeclareRule(
   CALDB_RETURN_IF_ERROR(CompileRuleStatements(name, &rule));
   rule.id = next_id_++;
 
-  // First firing strictly after `now_day`.
-  CALDB_ASSIGN_OR_RETURN(
-      std::optional<TimePoint> first_fire,
-      catalog_->NextFirePointForPlan(*rule.plan, now_day, horizon_day_, unit_));
+  // First firing strictly after `now_day`; seeds the rule's cursor.
+  CALDB_ASSIGN_OR_RETURN(std::optional<TimePoint> first_fire,
+                         NextFire(&rule, now_day));
 
   // Durable rows.
   CALDB_ASSIGN_OR_RETURN(Table * info, db_->GetTable(kRuleInfoTable));
@@ -235,20 +253,44 @@ TemporalRuleManager::DueBetween(TimePoint lo, TimePoint hi) const {
   return due;
 }
 
+Result<std::optional<TimePoint>> TemporalRuleManager::NextFire(
+    TemporalRule* rule, TimePoint after) {
+  obs::ScopedLatency latency(Metrics().next_fire_ns);
+  int evaluations = 0;
+  Result<std::optional<TimePoint>> next = catalog_->NextFirePointForPlan(
+      *rule->plan, after, horizon_day_, unit_, &rule->next_fire_cursor,
+      &evaluations);
+  if (evaluations == 0) {
+    Metrics().cursor_hits->Increment();
+  } else {
+    Metrics().evals->Add(evaluations);
+  }
+  return next;
+}
+
 Status TemporalRuleManager::UpdateRuleTime(int64_t id,
                                            std::optional<TimePoint> next_fire) {
   CALDB_ASSIGN_OR_RETURN(Table * time_table, db_->GetTable(kRuleTimeTable));
+  // The rule's row (at most one), found through the rule_id index and
+  // rewritten in place, so the cost stays independent of the firing
+  // history: a scan would visit every row earlier firings deleted, and a
+  // delete + insert per firing would leave one more such row.
   std::vector<RowId> existing;
-  time_table->Scan([&](RowId row_id, const Row& row) {
-    if (row[0].AsInt().value_or(-1) == id) existing.push_back(row_id);
-    return true;
-  });
+  CALDB_RETURN_IF_ERROR(time_table->IndexScan(
+      "rule_id", id, id, [&](RowId row_id, const Row&) {
+        existing.push_back(row_id);
+        return true;
+      }));
+  if (next_fire.has_value()) {
+    Row row = {Value::Int(id), Value::Int(*next_fire)};
+    if (existing.empty()) {
+      return time_table->Insert(std::move(row)).status();
+    }
+    CALDB_RETURN_IF_ERROR(time_table->Update(existing.back(), std::move(row)));
+    existing.pop_back();
+  }
   for (RowId row_id : existing) {
     CALDB_RETURN_IF_ERROR(time_table->Delete(row_id));
-  }
-  if (next_fire.has_value()) {
-    CALDB_RETURN_IF_ERROR(
-        time_table->Insert({Value::Int(id), Value::Int(*next_fire)}).status());
   }
   return Status::OK();
 }
@@ -312,8 +354,7 @@ Result<std::optional<TimePoint>> TemporalRuleManager::FireRule(
     ++fire_stats_.suppressed_by_condition;
     if (outcome != nullptr) outcome->suppressed = true;
   }
-  Result<std::optional<TimePoint>> next =
-      catalog_->NextFirePointForPlan(*rule.plan, fire_day, horizon_day_, unit_);
+  Result<std::optional<TimePoint>> next = NextFire(&rule, fire_day);
   if (!next.ok()) return finish(next.status());
   Status st = UpdateRuleTime(id, *next);
   if (!st.ok()) return finish(st);

@@ -53,13 +53,20 @@ struct TemporalRule {
   // returns at least one row.  The next firing is scheduled either way.
   std::string condition_query;
   CompiledStatementPtr compiled_condition;  // null when no condition
+  // The last next-fire window evaluated for this rule (one per rule):
+  // firings whose search reaches the same window at the same catalog
+  // version binary-search it instead of re-running the plan.  Seeded by
+  // DeclareRule's first-fire evaluation.
+  NextFireCursor next_fire_cursor;
 };
 
 class TemporalRuleManager {
  public:
   /// `catalog` and `db` must outlive the manager.  Creates the RULE-INFO
-  /// and RULE-TIME tables in `db` (with a B+tree index on the firing
-  /// point) and registers the fire_day() function.
+  /// and RULE-TIME tables in `db` (with B+tree indexes on the firing point
+  /// and on rule_id) and registers the fire_day() function.  Tables that
+  /// already exist (restored from a snapshot) are kept; a missing rule_id
+  /// index is built on them.
   ///
   /// `unit` is the granularity of rule time points: DAYS for the paper's
   /// examples, HOURS (or finer) for process-control rules.  All points
@@ -141,6 +148,10 @@ class TemporalRuleManager {
                       TimePoint horizon_day, Granularity unit)
       : catalog_(catalog), db_(db), horizon_day_(horizon_day), unit_(unit) {}
 
+  // The rule's first firing strictly after `after`, through its cursor;
+  // records the caldb.rules.next_fire.* instruments.
+  Result<std::optional<TimePoint>> NextFire(TemporalRule* rule,
+                                            TimePoint after);
   Status UpdateRuleTime(int64_t id, std::optional<TimePoint> next_fire);
 
   const CalendarCatalog* catalog_;

@@ -10,6 +10,7 @@
 #include "caldb.h"
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -489,6 +490,63 @@ TEST(EngineConcurrencyTest, DisjointTableWritersKeepExactCounts) {
     EXPECT_EQ(RowCount(rows), kAppends) << "own_" << w;
   }
   EXPECT_TRUE(engine->Stop().ok());
+}
+
+// Auto-checkpoints under concurrent disjoint-table writers: a write that
+// lands between one writer's claim of the due flag and its checkpoint
+// re-arms the flag against a WAL about to be truncated.  The size re-check
+// under the exclusive lock keeps that from running an extra, near-empty
+// checkpoint, so the count stays within what the WAL volume needs.
+TEST(EngineConcurrencyTest, AutoCheckpointsMatchWalVolume) {
+  const std::string dir = ::testing::TempDir() + "caldb_auto_checkpoint";
+  std::filesystem::remove_all(dir);
+  EngineOptions opts;
+  opts.data_dir = dir;
+  opts.fsync_policy = storage::FsyncPolicy::kOff;
+  opts.checkpoint_wal_bytes = 16 << 10;
+  opts.checkpoint_on_stop = false;
+  auto engine = Engine::Create(opts).value();
+  constexpr int kWriters = 4;
+  constexpr int kAppends = 1500;
+  {
+    auto setup = engine->CreateSession();
+    for (int w = 0; w < kWriters; ++w) {
+      ASSERT_TRUE(
+          setup->Execute("create table ckpt_" + std::to_string(w) + " (x int)")
+              .ok());
+    }
+  }
+  obs::Counter* checkpoints =
+      obs::Metrics().counter("caldb.storage.checkpoints");
+  obs::Counter* wal_bytes = obs::Metrics().counter("caldb.wal.bytes");
+  const int64_t checkpoints_before = checkpoints->value();
+  const int64_t wal_bytes_before = wal_bytes->value();
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      auto session = engine->CreateSession();
+      const std::string stmt = "append ckpt_" + std::to_string(w) + " (x = $1)";
+      auto prepared = session->Prepare(stmt);
+      if (!prepared.ok()) {
+        failed.store(true);
+        return;
+      }
+      for (int i = 0; i < kAppends; ++i) {
+        if (!prepared->Execute({Value::Int(i)}).ok()) failed.store(true);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(failed.load());
+  const int64_t written = wal_bytes->value() - wal_bytes_before;
+  const int64_t ran = checkpoints->value() - checkpoints_before;
+  EXPECT_GT(ran, 0);
+  EXPECT_LE(ran, written / opts.checkpoint_wal_bytes + 1)
+      << written << " WAL bytes";
+  EXPECT_TRUE(engine->Stop().ok());
+  engine.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // Destruction with traffic in flight: Engine::~Engine stops DBCRON and

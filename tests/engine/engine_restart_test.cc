@@ -2,6 +2,7 @@
 // temporal-rule firings happen exactly once after recovery (the paper's
 // catch-up contract), and the audit trail shows the lag.
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "engine/engine.h"
 #include "engine/session.h"
 #include "obs/audit.h"
+#include "storage/snapshot.h"
 
 namespace caldb {
 namespace {
@@ -232,6 +234,98 @@ TEST(EngineRestart, MissedFiringsHappenExactlyOnceAndAuditShowsTheLag) {
   auto again = Engine::Create(late);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(CountRows(**again, "retrieve (l.day) from l in LOG"), 3);
+}
+
+// Snapshots written before RULE_TIME carried its rule_id index restore
+// the table without it.  Recovery must rebuild the index (every firing
+// looks its rule's row up through it), and the missed firings must still
+// catch up exactly once.
+TEST(EngineRestart, SnapshotWithoutRuleIdIndexRebuildsItAndCatchesUp) {
+  std::string dir = FreshDataDir("caldb_restart_rule_index");
+  {
+    auto engine = Engine::Create(DurableOptions(dir));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->Execute("create table LOG (rule int, day int)").ok());
+    TemporalAction tuesdays;
+    tuesdays.command = "append LOG (rule = 1, day = fire_day())";
+    ASSERT_TRUE((*engine)
+                    ->DeclareRule("tuesdays", "[2]/DAYS:during:WEEKS", tuesdays)
+                    .ok());
+    TemporalAction month_ends;
+    month_ends.command = "append LOG (rule = 2, day = $1)";
+    ASSERT_TRUE((*engine)
+                    ->DeclareRule("month_ends", "[n]/DAYS:during:MONTHS",
+                                  month_ends)
+                    .ok());
+    ASSERT_TRUE((*engine)->AdvanceTo(6).ok());  // fires Tuesday Jan 5
+    ASSERT_TRUE((*engine)->Stop().ok());        // snapshot, empty WAL
+  }
+  // Rewrite the snapshot as the older format had it: RULE_TIME indexed on
+  // next_fire only.
+  {
+    auto read = storage::ReadSnapshotFile(dir + "/snapshot");
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    ASSERT_TRUE(read->found);
+    bool rewritten = false;
+    for (auto& table : read->image.tables) {
+      if (table.name != "RULE_TIME") continue;
+      auto& columns = table.indexed_columns;
+      ASSERT_NE(std::find(columns.begin(), columns.end(), "rule_id"),
+                columns.end());
+      columns.erase(std::remove(columns.begin(), columns.end(), "rule_id"),
+                    columns.end());
+      rewritten = true;
+    }
+    ASSERT_TRUE(rewritten);
+    ASSERT_TRUE(
+        storage::WriteSnapshotFile(dir + "/snapshot", read->image).ok());
+  }
+
+  // Back after an outage on Tuesday Feb 2 (day 33): Tuesdays 12, 19 and
+  // 26 and Jan 31 were missed.
+  EngineOptions late = DurableOptions(dir);
+  late.start_day = 33;
+  auto engine = Engine::Create(late);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_TRUE((*engine)->WithDbRead([](const Database& db) {
+    auto table = db.GetTable("RULE_TIME");
+    return table.ok() && (*table)->HasIndex("rule_id");
+  }));
+  ASSERT_TRUE((*engine)->AdvanceTo(34).ok());
+  auto days_of = [&](Engine& e, int rule) {
+    Result<QueryResult> rows = e.Execute(
+        "retrieve (l.day) from l in LOG where l.rule = " + std::to_string(rule));
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    std::vector<int64_t> days;
+    if (rows.ok()) {
+      for (const Row& row : rows->rows) days.push_back(row[0].AsInt().value());
+    }
+    std::sort(days.begin(), days.end());
+    return days;
+  };
+  EXPECT_EQ(days_of(**engine, 1), (std::vector<int64_t>{5, 12, 19, 26, 33}));
+  EXPECT_EQ(days_of(**engine, 2), (std::vector<int64_t>{31}));
+  // Firings after the catch-up keep one RULE_TIME row per rule.
+  ASSERT_TRUE((*engine)->AdvanceTo(60).ok());
+  EXPECT_EQ(days_of(**engine, 1),
+            (std::vector<int64_t>{5, 12, 19, 26, 33, 40, 47, 54}));
+  EXPECT_EQ(days_of(**engine, 2), (std::vector<int64_t>{31, 59}));
+  EXPECT_EQ(CountRows(**engine, "retrieve (t.rule_id) from t in RULE_TIME"), 2);
+
+  // The next snapshot carries the index, and nothing fires twice.
+  ASSERT_TRUE((*engine)->Stop().ok());
+  engine->reset();
+  auto again = Engine::Create(late);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(CountRows(**again, "retrieve (l.day) from l in LOG"), 10);
+  auto read = storage::ReadSnapshotFile(dir + "/snapshot");
+  ASSERT_TRUE(read.ok() && read->found);
+  for (const auto& table : read->image.tables) {
+    if (table.name != "RULE_TIME") continue;
+    EXPECT_NE(std::find(table.indexed_columns.begin(),
+                        table.indexed_columns.end(), "rule_id"),
+              table.indexed_columns.end());
+  }
 }
 
 TEST(EngineRestart, ManualCheckpointTruncatesTheWal) {
