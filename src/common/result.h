@@ -11,12 +11,12 @@
 //  - Library code does not `throw`, and avoids throwing std:: helpers on
 //    user-controlled input (e.g. ParseDouble in common/strings.h instead
 //    of std::stod, which raises out_of_range).
-//  - The facade entry points (Engine::Execute, Session::Execute and the
-//    typed Session surface) additionally wrap their implementations in a
-//    catch-all that converts any escaped exception — out-of-memory aside,
-//    these would be defects — into Status::Internal, so a bug below the
-//    facade degrades into an error return instead of terminating a server
-//    worker thread.
+//  - Every public Engine, Session and PreparedStatement entry point, and
+//    DBCRON's advance on its daemon thread, additionally runs its body
+//    through GuardedCall (common/guarded_call.h), which converts any
+//    escaped exception — a defect, or a throwing C++ rule callback — into
+//    Status::Internal, so it degrades into an error return instead of
+//    terminating a server worker thread.
 //  - Accessing value() on an error Result is a programming error checked
 //    by assert, not an exception.
 //

@@ -299,7 +299,7 @@ Status CheckParamList(const CompiledStatement& compiled,
     return Status::InvalidArgument(
         "statement expects " + std::to_string(compiled.param_count) +
         " parameter(s) " + RenderParamSignature(compiled) + ", got " +
-        std::to_string(params.size()));
+        std::to_string(params.size()) + " bind value(s)");
   }
   for (size_t i = 0; i < params.size(); ++i) {
     const ValueType expected = compiled.param_types[i];

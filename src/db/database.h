@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -73,55 +72,26 @@ class Database {
   bool HasTable(const std::string& name) const;
   std::vector<std::string> ListTables() const;
 
-  /// Parses and executes one statement.  `ambient` supplies extra tuple
-  /// bindings (NEW / CURRENT) when executing rule actions.
-  Result<QueryResult> Execute(const std::string& query,
+  /// Compiles and executes one statement: CompileStatement, then the
+  /// compiled Execute below.  The convenience for tests and
+  /// single-threaded library use; servers go through the Engine, whose
+  /// shared StatementCache compiles each statement shape once.
+  Result<QueryResult> Execute(const std::string& query);
+
+  /// Executes a compiled statement — the one statement-execution entry
+  /// point.  User statements (through the Engine), event-rule actions,
+  /// DBCRON firings and WAL replay all arrive here, so the statement
+  /// counter, latency histogram, "db.execute" span and slow-statement log
+  /// are recorded exactly once per statement on every path.
+  ///
+  /// `params` binds the $n placeholders (params[0] binds $1); it is
+  /// validated against the compiled signature (CheckParamList: arity and
+  /// inferred types) before execution, and read in place — one compiled
+  /// shape serves every binding concurrently.  `ambient` supplies extra
+  /// tuple bindings (NEW / CURRENT) when executing event-rule actions.
+  Result<QueryResult> Execute(const CompiledStatement& compiled,
+                              const ParamList& params = {},
                               const EvalScope* ambient = nullptr);
-
-  /// Compiles one statement into an immutable, shareable handle without
-  /// executing it (db/compiled_statement.h).  A thin wrapper over
-  /// CompileStatement; servers go through the Engine, whose shared
-  /// StatementCache memoizes this per statement text.
-  static Result<CompiledStatementPtr> Prepare(std::string_view query);
-
-  /// Executes a previously compiled statement.  The parse-once entry
-  /// point: repeated executions of one handle never touch the parser.
-  /// Fails with InvalidArgument when `compiled` has placeholders and
-  /// neither this call nor `ambient` supplies a bind list.
-  Result<QueryResult> ExecuteCompiled(const CompiledStatement& compiled,
-                                      const EvalScope* ambient = nullptr);
-  /// Executes a compiled statement with positional parameters bound to
-  /// its $n placeholders: params[0] binds $1, and so on.  The bind list
-  /// is validated against the compiled signature (arity and inferred
-  /// types, CheckParamList) before execution.  `params` must outlive the
-  /// call; values are read in place, never copied into the handle — one
-  /// compiled shape serves every binding concurrently.
-  Result<QueryResult> ExecuteCompiled(const CompiledStatement& compiled,
-                                      const ParamList& params,
-                                      const EvalScope* ambient = nullptr);
-  /// `text`, when provided, is the statement's source — it makes the
-  /// slow-statement log line actionable for callers (the Engine) that
-  /// parse themselves and skip Execute().
-  Result<QueryResult> ExecuteParsed(const Statement& stmt,
-                                    const EvalScope* ambient = nullptr,
-                                    std::string_view text = {});
-
-  /// Recovery entry point (src/storage/): re-executes one WAL statement
-  /// record through the normal dispatch, skipping the slow-statement
-  /// envelope — replay latency is recovery throughput, not user latency.
-  /// Event rules fire exactly as they did originally; a statement that
-  /// failed originally fails identically here (same state either way), so
-  /// callers log and continue on error.
-  Result<QueryResult> Replay(const std::string& statement);
-  /// Replay of an already compiled record — the Engine's recovery path
-  /// routes WAL statements through its StatementCache and hands the
-  /// handles here, so replaying thousands of identical statement shapes
-  /// parses each distinct shape once.
-  Result<QueryResult> Replay(const CompiledStatement& compiled);
-  /// Replay of a parameterized WAL record: one compiled shape, the bound
-  /// values decoded from the record (storage/snapshot.h value codec).
-  Result<QueryResult> Replay(const CompiledStatement& compiled,
-                             const ParamList& params);
 
   /// Statements slower than this are logged ("db.slow_statement", warn)
   /// and counted in caldb.db.slow_statements.  Process-wide; initialized
@@ -195,10 +165,10 @@ class Database {
       const Table& table, const std::string& var, const DbExpr* where,
       const std::vector<Value>* params = nullptr);
 
-  // The dispatch body behind ExecuteParsed (which adds the slow-statement
-  // timing envelope around it).
-  Result<QueryResult> ExecuteParsedImpl(const Statement& stmt,
-                                        const EvalScope* ambient);
+  // The dispatch body behind Execute (which adds the instrumentation
+  // around it).  EXPLAIN/PROFILE call it directly for their inner
+  // statement, so one statement still yields one sample.
+  Result<QueryResult> Dispatch(const Statement& stmt, const EvalScope* ambient);
 
   Result<QueryResult> ExecuteExplain(const ExplainStmt& stmt,
                                      const EvalScope* ambient);

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <exception>
 #include <filesystem>
 #include <variant>
 
 #include "catalog/calendar_functions.h"
 #include "catalog/catalog_io.h"
+#include "common/guarded_call.h"
 #include "common/macros.h"
 #include "common/strings.h"
 #include "engine/session.h"
@@ -102,10 +102,12 @@ Engine::Engine(EngineOptions opts)
       cron_reached_(opts.start_day) {}
 
 Result<std::unique_ptr<Engine>> Engine::Create(EngineOptions opts) {
-  opts.pool_threads = std::max(1, opts.pool_threads);
-  auto engine = std::unique_ptr<Engine>(new Engine(opts));
-  CALDB_RETURN_IF_ERROR(engine->Init());
-  return engine;
+  return GuardedCall("Create", [&]() -> Result<std::unique_ptr<Engine>> {
+    opts.pool_threads = std::max(1, opts.pool_threads);
+    auto engine = std::unique_ptr<Engine>(new Engine(opts));
+    CALDB_RETURN_IF_ERROR(engine->Init());
+    return engine;
+  });
 }
 
 Status Engine::Init() {
@@ -242,7 +244,7 @@ Status Engine::Recover() {
         Result<QueryResult> r = [&]() -> Result<QueryResult> {
           CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
                                  stmt_cache_.GetOrCompile(record.a));
-          return db_.Replay(*compiled);
+          return db_.Execute(*compiled);
         }();
         if (!r.ok()) note_replay_error(r.status(), record);
         break;
@@ -292,7 +294,7 @@ Status Engine::Recover() {
                                  stmt_cache_.GetOrCompile(record.a));
           CALDB_ASSIGN_OR_RETURN(ParamList params,
                                  storage::DecodeParamValues(record.b));
-          return db_.Replay(*compiled, params);
+          return db_.Execute(*compiled, params);
         }();
         if (!r.ok()) note_replay_error(r.status(), record);
         break;
@@ -376,20 +378,13 @@ void Engine::ReleaseSession() {
   Metrics().active_sessions->Add(-1);
 }
 
-Result<QueryResult> Engine::Execute(const std::string& statement,
-                                    const EvalScope* ambient) {
-  // The facade's no-throw contract (common/result.h): a defect below this
-  // frame surfaces as kInternal, never as an exception crossing the API.
-  try {
-    Result<QueryResult> result = ExecuteImpl(statement, ambient);
-    MaybeCheckpoint();
-    return result;
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Execute: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Execute");
-  }
+Result<QueryResult> Engine::Execute(const std::string& statement) {
+  return GuardedCall("Execute", [&]() -> Result<QueryResult> {
+    // Each distinct statement shape is parsed once per cache residency.
+    CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
+                           stmt_cache_.GetOrCompile(statement));
+    return ExecuteLocked(*compiled, {});
+  });
 }
 
 Status Engine::LogDurable(storage::WalRecord record) {
@@ -428,20 +423,13 @@ Status Engine::Checkpoint() {
   if (wal_ == nullptr) {
     return Status::InvalidArgument("engine has no data dir to checkpoint to");
   }
-  return CheckpointIfPast(0);
+  return GuardedCall("Checkpoint", [&] { return CheckpointIfPast(0); });
 }
 
 Status Engine::CheckpointIfPast(int64_t min_wal_bytes) {
-  try {
-    LockManager::Guard lock = AcquireWrite();
-    if (wal_->bytes() < min_wal_bytes) return Status::OK();
-    return CheckpointLocked();
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Checkpoint: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Checkpoint");
-  }
+  LockManager::Guard lock = AcquireWrite();
+  if (wal_->bytes() < min_wal_bytes) return Status::OK();
+  return CheckpointLocked();
 }
 
 Status Engine::CheckpointLocked() {
@@ -466,7 +454,7 @@ Status Engine::CheckpointLocked() {
 Status Engine::DefineCalendar(const std::string& name,
                               const std::string& script,
                               std::optional<Interval> lifespan_days) {
-  try {
+  return GuardedCall("DefineCalendar", [&]() -> Status {
     // The exclusive lock serializes the WAL append with statement/rule
     // records (lock order: db_mu_ before catalog internals).
     LockManager::Guard lock = AcquireWrite();
@@ -477,110 +465,25 @@ Status Engine::DefineCalendar(const std::string& name,
     record.b = script;
     record.c = FormatLifespan(lifespan_days);
     return LogDurable(std::move(record));
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in DefineCalendar: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in DefineCalendar");
-  }
+  });
 }
 
 Status Engine::DropCalendar(const std::string& name) {
-  try {
+  return GuardedCall("DropCalendar", [&]() -> Status {
     LockManager::Guard lock = AcquireWrite();
     CALDB_RETURN_IF_ERROR(catalog_.Drop(name));
     storage::WalRecord record;
     record.type = storage::WalRecordType::kDropCalendar;
     record.a = name;
     return LogDurable(std::move(record));
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in DropCalendar: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in DropCalendar");
-  }
+  });
 }
 
-Result<QueryResult> Engine::ExecuteImpl(const std::string& statement,
-                                        const EvalScope* ambient) {
-  // The text pipeline is now compile-through-cache + handle execution:
-  // each distinct statement shape is parsed once per cache residency.
-  CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
-                         stmt_cache_.GetOrCompile(statement));
-  return ExecuteCompiledImpl(*compiled, nullptr, ambient);
-}
-
-Result<CompiledStatementPtr> Engine::Prepare(const std::string& statement) {
-  try {
-    return stmt_cache_.GetOrCompile(statement);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Prepare: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Prepare");
-  }
-}
-
-Result<QueryResult> Engine::ExecuteCompiled(const CompiledStatementPtr& compiled,
-                                            const EvalScope* ambient) {
-  if (compiled == nullptr || compiled->stmt == nullptr) {
-    return Status::InvalidArgument("null compiled statement");
-  }
-  try {
-    Result<QueryResult> result = ExecuteCompiledImpl(*compiled, nullptr,
-                                                     ambient);
-    MaybeCheckpoint();
-    return result;
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in ExecuteCompiled: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in ExecuteCompiled");
-  }
-}
-
-Result<QueryResult> Engine::ExecuteCompiled(const CompiledStatementPtr& compiled,
-                                            const ParamList& params,
-                                            const EvalScope* ambient) {
-  if (compiled == nullptr || compiled->stmt == nullptr) {
-    return Status::InvalidArgument("null compiled statement");
-  }
-  try {
-    Result<QueryResult> result = ExecuteCompiledImpl(*compiled, &params,
-                                                     ambient);
-    MaybeCheckpoint();
-    return result;
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in ExecuteCompiled: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in ExecuteCompiled");
-  }
-}
-
-Result<QueryResult> Engine::ExecuteCompiledImpl(const CompiledStatement& compiled,
-                                                const ParamList* params,
-                                                const EvalScope* ambient) {
+Result<QueryResult> Engine::ExecuteLocked(const CompiledStatement& compiled,
+                                          const ParamList& params) {
   // Bind-list validation happens before any lock or WAL traffic: a bad
-  // arity or type never reaches execution, and an unbound placeholder is
-  // an error here rather than deep inside evaluation.
-  if (params != nullptr) {
-    CALDB_RETURN_IF_ERROR(CheckParamList(compiled, *params));
-  } else if (compiled.param_count > 0 &&
-             (ambient == nullptr || ambient->params == nullptr)) {
-    return Status::InvalidArgument(
-        "statement expects " + std::to_string(compiled.param_count) +
-        " parameter(s) " + RenderParamSignature(compiled) +
-        "; bind them with the parameterized execute");
-  }
-  // Thread the bind list through the ambient scope — evaluation reads
-  // params in place, so one compiled shape serves every binding.
-  EvalScope bound_scope;
-  if (params != nullptr) {
-    if (ambient != nullptr) bound_scope = *ambient;
-    bound_scope.params = params;
-    ambient = &bound_scope;
-  }
+  // arity or type never reaches execution or the redo log.
+  CALDB_RETURN_IF_ERROR(CheckParamList(compiled, params));
   Metrics().statements->Increment();
   obs::Tracer::Span span = obs::StartSpan("engine.execute");
   // Stamp the statement into the thread's LogContext (keeping whatever
@@ -600,82 +503,53 @@ Result<QueryResult> Engine::ExecuteCompiledImpl(const CompiledStatement& compile
   // outside the footprint) and no DDL (schema changes must exclude
   // everything).  Note armed *retrieve* rules reclassify the retrieve as
   // a write above, and HasRetrieveRules implies HasEventRules — so that
-  // case falls back too, as required.
-  const bool per_table =
-      opts_.per_table_locks && compiled.footprint_exact && !compiled.is_ddl &&
-      (!writes || !db_.HasEventRules());
-  if (writes) {
-    span.AddAttr("lock", per_table ? "table-write" : "write");
+  // case falls back too, as required.  Everything else, reads included,
+  // takes the global exclusive lock: a read without an exact footprint
+  // (hand-built explain) may touch tables it cannot name, and only the
+  // global exclusive lock excludes per-table writers from all of them.
+  const bool per_table = compiled.footprint_exact && !compiled.is_ddl &&
+                         (!writes || !db_.HasEventRules());
+  span.AddAttr("lock", !per_table ? "write"
+                       : writes   ? "table-write"
+                                  : "table-read");
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
     // Encode the bind list for the redo record before taking the lock
     // (the values are immutable for the duration of the call).
     std::string encoded_params;
-    if (wal_ != nullptr && params != nullptr && !params->empty()) {
+    if (writes && wal_ != nullptr && !params.empty()) {
       CALDB_ASSIGN_OR_RETURN(encoded_params,
-                             storage::EncodeParamValues(*params));
+                             storage::EncodeParamValues(params));
     }
-    Result<QueryResult> result = [&] {
-      // Per-table DML holds exclusive locks on exactly its tables (under
-      // the shared intent layer); the fallback holds the global exclusive
-      // lock.  Either way the WAL append happens before release, so WAL
-      // order matches execution order per table — concurrent appends from
-      // disjoint-table writers interleave, but those records commute, and
-      // the WalWriter's own mutex keeps each record atomic.
-      LockManager::Guard lock =
-          per_table ? AcquireStatementTables(compiled.tables, true)
-                    : AcquireWrite();
-      Result<QueryResult> r = db_.ExecuteParsed(*compiled.stmt, ambient,
-                                                compiled.text);
-      // Redo-log the statement whatever its outcome: a failing statement
-      // may have applied partial effects, and replaying it fails
-      // identically — deterministic either way.  (Not reached for parse
-      // errors.)  A bound execution logs kParamStatement (text + encoded
-      // values); recovery recompiles the shape once and replays each
-      // record's own bind list.
-      storage::WalRecord redo;
-      if (params != nullptr && !params->empty()) {
-        redo.type = storage::WalRecordType::kParamStatement;
-        redo.a = compiled.text;
-        redo.b = std::move(encoded_params);
-      } else {
-        redo.type = storage::WalRecordType::kStatement;
-        redo.a = compiled.text;
-      }
-      Status logged = LogDurable(std::move(redo));
-      if (!logged.ok() && r.ok()) return Result<QueryResult>(logged);
-      return r;
-    }();
-    // DDL changed schema or rule state: drop cached statements whose
-    // precomputed metadata could now be stale.  Outside the db lock (the
-    // cache mutex is a leaf); statements racing this drop re-compile on
-    // their next miss.  (DDL is never per-table, so the fallback lock
-    // covered the execution.)
-    if (compiled.is_ddl && result.ok()) {
-      stmt_cache_.InvalidateTables(compiled.tables);
-    }
-    return result;
+    LockManager::Guard lock =
+        per_table ? AcquireStatementTables(compiled.tables, writes)
+                  : AcquireWrite();
+    Result<QueryResult> r = db_.Execute(compiled, params);
+    if (!writes) return r;
+    // Redo-log the statement whatever its outcome, before the lock is
+    // released, so WAL order matches execution order per table: a failing
+    // statement may have applied partial effects, and replaying it fails
+    // identically.  Concurrent appends from disjoint-table writers
+    // interleave, but those records commute.  A bound execution logs
+    // kParamStatement (text + encoded values); recovery recompiles the
+    // shape once and replays each record's own bind list.
+    storage::WalRecord redo;
+    redo.type = params.empty() ? storage::WalRecordType::kStatement
+                               : storage::WalRecordType::kParamStatement;
+    redo.a = compiled.text;
+    redo.b = std::move(encoded_params);
+    Status logged = LogDurable(std::move(redo));
+    if (!logged.ok() && r.ok()) return logged;
+    return r;
+  }();
+  // DDL changed schema or rule state: drop cached statements whose
+  // precomputed metadata could now be stale.  Outside the db lock (the
+  // cache mutex is a leaf); statements racing this drop re-compile on
+  // their next miss.
+  if (compiled.is_ddl && result.ok()) {
+    stmt_cache_.InvalidateTables(compiled.tables);
   }
-  if (per_table) {
-    // Shared locks on exactly the retrieve's tables: readers of table A
-    // are oblivious to a writer hammering table B.
-    span.AddAttr("lock", "table-read");
-    LockManager::Guard lock = AcquireStatementTables(compiled.tables, false);
-    return db_.ExecuteParsed(*compiled.stmt, ambient, compiled.text);
-  }
-  if (opts_.per_table_locks) {
-    // A read that did not qualify for the footprint path (hand-built
-    // explain, or any shape without exact metadata) may touch tables it
-    // cannot name: under the per-table scheme only the global exclusive
-    // lock excludes per-table writers from all of them.  The global
-    // *shared* layer alone would not.
-    span.AddAttr("lock", "write");
-    LockManager::Guard lock = AcquireWrite();
-    return db_.ExecuteParsed(*compiled.stmt, ambient, compiled.text);
-  }
-  // Legacy discipline (per_table_locks = false): every read shares the
-  // one global lock, every write excludes — the single-mutex baseline.
-  span.AddAttr("lock", "read");
-  LockManager::Guard lock = AcquireRead();
-  return db_.ExecuteParsed(*compiled.stmt, ambient, compiled.text);
+  MaybeCheckpoint();
+  return result;
 }
 
 std::future<Result<QueryResult>> Engine::ExecuteAsync(std::string statement) {
@@ -720,7 +594,7 @@ Result<int64_t> Engine::DeclareRule(const std::string& name,
                                     const std::string& expression,
                                     TemporalAction action,
                                     const std::string& condition_query) {
-  try {
+  return GuardedCall("DeclareRule", [&]() -> Result<int64_t> {
     LockManager::Guard lock = AcquireWrite();
     const TimePoint declared_at = Now();
     const std::string command = action.command;
@@ -744,37 +618,38 @@ Result<int64_t> Engine::DeclareRule(const std::string& name,
     record.day = declared_at;
     CALDB_RETURN_IF_ERROR(LogDurable(std::move(record)));
     return id;
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in DeclareRule: ") +
-                            e.what());
-  }
+  });
 }
 
 Status Engine::DropTemporalRule(const std::string& name) {
-  LockManager::Guard lock = AcquireWrite();
-  CALDB_RETURN_IF_ERROR(rules_->DropRule(name));
-  storage::WalRecord record;
-  record.type = storage::WalRecordType::kDropRule;
-  record.a = name;
-  return LogDurable(std::move(record));
+  return GuardedCall("DropTemporalRule", [&]() -> Status {
+    LockManager::Guard lock = AcquireWrite();
+    CALDB_RETURN_IF_ERROR(rules_->DropRule(name));
+    storage::WalRecord record;
+    record.type = storage::WalRecordType::kDropRule;
+    record.a = name;
+    return LogDurable(std::move(record));
+  });
 }
 
 Status Engine::AdvanceTo(TimePoint day) {
   if (!IsValidPoint(day)) {
     return Status::InvalidArgument("cannot advance to point 0");
   }
-  std::unique_lock<std::mutex> lock(cron_mu_);
-  if (cron_stop_) return Status::InvalidArgument("engine is stopped");
-  if (day > cron_target_) {
-    cron_target_ = day;
-    cron_cv_.notify_one();
-  }
-  cron_done_cv_.wait(lock,
-                     [&] { return cron_reached_ >= day || cron_stop_; });
-  Status st = cron_status_;
-  lock.unlock();
-  MaybeCheckpoint();
-  return st;
+  return GuardedCall("AdvanceTo", [&]() -> Status {
+    std::unique_lock<std::mutex> lock(cron_mu_);
+    if (cron_stop_) return Status::InvalidArgument("engine is stopped");
+    if (day > cron_target_) {
+      cron_target_ = day;
+      cron_cv_.notify_one();
+    }
+    cron_done_cv_.wait(lock,
+                       [&] { return cron_reached_ >= day || cron_stop_; });
+    Status st = cron_status_;
+    lock.unlock();
+    MaybeCheckpoint();
+    return st;
+  });
 }
 
 Status Engine::AdvanceToCivil(const CivilDate& date) {
@@ -816,7 +691,10 @@ void Engine::CronLoop() {
         obs::Tracer::Span span = obs::StartSpan("cron.advance");
         span.AddAttr("to_day", std::to_string(chunk));
         LockManager::Guard db_lock = AcquireWrite();
-        st = cron_->AdvanceTo(chunk);
+        // Firings run user rule actions and callbacks on this daemon
+        // thread, off any caller's stack: an escaping exception must come
+        // back as this advance's status, not reach std::terminate.
+        st = GuardedCall("AdvanceTo", [&] { return cron_->AdvanceTo(chunk); });
         // Redo-log the advance whatever its status: firings before an
         // error already applied, and replaying the advance reproduces
         // them (and the error) deterministically.  The firings themselves
@@ -841,47 +719,49 @@ void Engine::CronLoop() {
 }
 
 Status Engine::Stop() {
-  bool expected = false;
-  if (!stopped_.compare_exchange_strong(expected, true)) {
-    return Status::OK();
-  }
-  {
-    std::unique_lock<std::mutex> lock(cron_mu_);
-    cron_stop_ = true;
-    cron_cv_.notify_all();
-    cron_done_cv_.notify_all();
-  }
-  if (cron_thread_.joinable()) cron_thread_.join();
-  {
-    // Waiters blocked in AdvanceTo must observe the stop.
-    std::unique_lock<std::mutex> lock(cron_mu_);
-    cron_done_cv_.notify_all();
-  }
-  if (pool_ != nullptr) pool_->Shutdown();
-  if (snapshotter_ != nullptr) snapshotter_->Stop();
-  Status st;
-  {
-    std::unique_lock<std::mutex> lock(cron_mu_);
-    st = cron_status_;
-  }
-  if (wal_ != nullptr) {
-    if (opts_.checkpoint_on_stop) {
-      Status cp = Checkpoint();
-      if (!cp.ok()) {
-        obs::LogEvent(obs::LogLevel::kWarn, "storage.checkpoint_error",
-                      {{"error", cp.ToString()}});
-        if (st.ok()) st = cp;
-      }
-    } else {
-      Status sync = wal_->Sync();
-      if (!sync.ok() && st.ok()) st = sync;
+  return GuardedCall("Stop", [&]() -> Status {
+    bool expected = false;
+    if (!stopped_.compare_exchange_strong(expected, true)) {
+      return Status::OK();
     }
-  }
-  // Telemetry sinks drain last, so the checkpoint's own log events make
-  // it out too: the logger's buffered file sink (the snapshotter flushed
-  // its final delta in Stop() above).
-  obs::Log().Flush();
-  return st;
+    {
+      std::unique_lock<std::mutex> lock(cron_mu_);
+      cron_stop_ = true;
+      cron_cv_.notify_all();
+      cron_done_cv_.notify_all();
+    }
+    if (cron_thread_.joinable()) cron_thread_.join();
+    {
+      // Waiters blocked in AdvanceTo must observe the stop.
+      std::unique_lock<std::mutex> lock(cron_mu_);
+      cron_done_cv_.notify_all();
+    }
+    if (pool_ != nullptr) pool_->Shutdown();
+    if (snapshotter_ != nullptr) snapshotter_->Stop();
+    Status st;
+    {
+      std::unique_lock<std::mutex> lock(cron_mu_);
+      st = cron_status_;
+    }
+    if (wal_ != nullptr) {
+      if (opts_.checkpoint_on_stop) {
+        Status cp = Checkpoint();
+        if (!cp.ok()) {
+          obs::LogEvent(obs::LogLevel::kWarn, "storage.checkpoint_error",
+                        {{"error", cp.ToString()}});
+          if (st.ok()) st = cp;
+        }
+      } else {
+        Status sync = wal_->Sync();
+        if (!sync.ok() && st.ok()) st = sync;
+      }
+    }
+    // Telemetry sinks drain last, so the checkpoint's own log events make
+    // it out too: the logger's buffered file sink (the snapshotter flushed
+    // its final delta in Stop() above).
+    obs::Log().Flush();
+    return st;
+  });
 }
 
 }  // namespace caldb

@@ -88,12 +88,6 @@ struct EngineOptions {
   /// session, rule firing and WAL replay share it).  0 disables caching —
   /// each execution compiles fresh.  See engine/statement_cache.h.
   size_t stmt_cache_entries = 512;
-  /// When true (the default), statements with an exact compiled footprint
-  /// lock only their tables (engine/lock_manager.h); when false, every
-  /// write takes the global exclusive lock and every read the global
-  /// shared lock — the pre-PR-10 single-mutex discipline, kept for the
-  /// bench baseline and for bisecting locking regressions.
-  bool per_table_locks = true;
 
   // --- durability -----------------------------------------------------------
 
@@ -149,39 +143,12 @@ class Engine {
 
   // --- statements -----------------------------------------------------------
 
-  /// Parses and executes one database statement under the appropriate
-  /// lock: shared for retrieve/explain, exclusive for anything that can
-  /// write (including retrieves when retrieve-event rules are armed, and
-  /// "retrieve into").  Never throws; never lets a callee's exception
-  /// escape.
-  Result<QueryResult> Execute(const std::string& statement,
-                              const EvalScope* ambient = nullptr);
-
   /// Compiles one database statement through the shared StatementCache
-  /// and returns the immutable handle: the prepared-execution entry
-  /// point.  Preparing the same (whitespace-normalized) text twice
-  /// returns the same handle without re-parsing.  Never throws.
-  Result<CompiledStatementPtr> Prepare(const std::string& statement);
-
-  /// Executes a compiled handle (from Prepare, or Database::Prepare).
-  /// Lock classification comes from the handle's precomputed metadata —
-  /// no text sniffing, no parsing, on the hot path.  Fails with
-  /// InvalidArgument when the handle has $n placeholders (bind them with
-  /// the ParamList overload).  Never throws.
-  ///
-  /// DEPRECATED as a public entry point: prefer Session::Prepare, which
-  /// returns a PreparedStatement handle wrapping this (engine/session.h).
-  Result<QueryResult> ExecuteCompiled(const CompiledStatementPtr& compiled,
-                                      const EvalScope* ambient = nullptr);
-  /// Executes a compiled handle with a bind list: params[0] binds $1.
-  /// The list is validated against the handle's signature (arity +
-  /// inferred types) before any lock is taken.  On the durable path the
-  /// WAL gets one kParamStatement record — statement text plus the
-  /// encoded values — so recovery replays one compiled shape per distinct
-  /// statement no matter how many bindings ran.  Never throws.
-  Result<QueryResult> ExecuteCompiled(const CompiledStatementPtr& compiled,
-                                      const ParamList& params,
-                                      const EvalScope* ambient = nullptr);
+  /// and executes it under the appropriate lock (see the header comment),
+  /// WAL-logging it on a durable engine.  Prepared execution is
+  /// Session::Prepare's PreparedStatement handle (engine/session.h); both
+  /// paths share one locked body.  Never throws.
+  Result<QueryResult> Execute(const std::string& statement);
 
   /// Point-in-time accounting of the shared statement cache.
   StatementCache::Stats StatementCacheStats() const {
@@ -318,15 +285,13 @@ class Engine {
   LockManager::Guard AcquireStatementTables(
       const std::vector<std::string>& tables, bool exclusive) const;
 
-  Result<QueryResult> ExecuteImpl(const std::string& statement,
-                                  const EvalScope* ambient);
-  /// The shared execution body: classifies the lock from the compiled
-  /// metadata, runs under it, WAL-logs writes, and invalidates the
-  /// statement cache after DDL.  `params` (nullable) is the bind list for
-  /// the handle's $n placeholders.
-  Result<QueryResult> ExecuteCompiledImpl(const CompiledStatement& compiled,
-                                          const ParamList* params,
-                                          const EvalScope* ambient);
+  /// The one execution body behind Execute and PreparedStatement: checks
+  /// the bind list (params[0] binds $1) before any lock or WAL traffic,
+  /// classifies the lock from the compiled metadata, runs the statement
+  /// through Database::Execute under it, WAL-logs writes, invalidates the
+  /// statement cache after DDL, and runs a due auto-checkpoint.
+  Result<QueryResult> ExecuteLocked(const CompiledStatement& compiled,
+                                    const ParamList& params);
   void CronLoop();
 
   // --- durability internals -------------------------------------------------
@@ -396,6 +361,7 @@ class Engine {
   std::atomic<uint64_t> next_session_id_{1};
 
   friend class Session;
+  friend class PreparedStatement;
 };
 
 }  // namespace caldb

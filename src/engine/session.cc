@@ -1,7 +1,6 @@
 #include "engine/session.h"
 
-#include <exception>
-
+#include "common/guarded_call.h"
 #include "common/macros.h"
 #include "common/strings.h"
 #include "engine/engine.h"
@@ -92,56 +91,35 @@ Status Session::SetWindowYears(int32_t first_year, int32_t last_year) {
 }
 
 Result<ScriptValue> Session::EvalScript(const std::string& script) {
-  try {
+  return GuardedCall("EvalScript", [&]() -> Result<ScriptValue> {
     Metrics().scripts->Increment();
     CALDB_ASSIGN_OR_RETURN(Plan plan,
                            engine_->catalog().CompileScriptText(script));
     last_stats_ = EvalStats{};
     return evaluator_.Run(plan, EffectiveOptions(), &last_stats_);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in EvalScript: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in EvalScript");
-  }
+  });
 }
 
 Result<Calendar> Session::EvalCalendar(const std::string& name) {
-  try {
+  return GuardedCall("EvalCalendar", [&]() -> Result<Calendar> {
     last_stats_ = EvalStats{};
     return engine_->catalog().EvaluateCalendar(name, EffectiveOptions(),
                                                &last_stats_);
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in EvalCalendar: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in EvalCalendar");
-  }
+  });
 }
 
 Result<std::string> Session::ExplainScript(const std::string& script) {
-  try {
+  return GuardedCall("ExplainScript", [&]() -> Result<std::string> {
     return engine_->catalog().ExplainScript(script, EffectiveOptions());
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in ExplainScript: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in ExplainScript");
-  }
+  });
 }
 
 Status Session::DefineCalendar(const std::string& name,
                                const std::string& script,
                                std::optional<Interval> lifespan_days) {
-  try {
-    // Via the engine so a durable engine WAL-logs the definition.
-    return engine_->DefineCalendar(name, script, lifespan_days);
-  } catch (const std::exception& e) {
-    return Status::Internal(
-        std::string("uncaught exception in DefineCalendar: ") + e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in DefineCalendar");
-  }
+  // Via the engine (which carries the firewall) so a durable engine
+  // WAL-logs the definition.
+  return engine_->DefineCalendar(name, script, lifespan_days);
 }
 
 Result<QueryResult> PreparedStatement::Execute(const ParamList& params) const {
@@ -162,19 +140,14 @@ Result<QueryResult> PreparedStatement::Execute(const ParamList& params) const {
     return Status::InvalidArgument(
         "cannot execute a prepared statement after Engine::Stop()");
   }
-  try {
+  return GuardedCall("Execute", [&] {
     obs::ScopedLogContext log_scope{
         obs::LogContext{session_id_, compiled_->text}};
     // The empty bind list goes through the same path: CheckParamList
     // enforces exact arity, so a 0-param handle accepts {} and a
     // parameterized one reports the missing values up front.
-    return engine_->ExecuteCompiled(compiled_, params);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Execute: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Execute");
-  }
+    return engine_->ExecuteLocked(*compiled_, params);
+  });
 }
 
 int PreparedStatement::param_count() const {
@@ -191,40 +164,24 @@ const std::string& PreparedStatement::text() const {
 }
 
 Result<PreparedStatement> Session::Prepare(const std::string& text) {
-  // Engine::Prepare already carries the no-throw catch-all.
-  CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
-                         engine_->Prepare(text));
-  return PreparedStatement(engine_, engine_->alive_, id_, std::move(compiled));
-}
-
-Result<QueryResult> Session::Execute(const CompiledStatementPtr& prepared) {
-  if (prepared == nullptr) {
-    return Status::InvalidArgument("null prepared statement");
-  }
-  try {
-    obs::ScopedLogContext log_scope{obs::LogContext{id_, prepared->text}};
-    return engine_->ExecuteCompiled(prepared);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Execute: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Execute");
-  }
+  return GuardedCall("Prepare", [&]() -> Result<PreparedStatement> {
+    // Through the engine's shared cache: preparing the same
+    // (whitespace-normalized) text twice returns the same handle.
+    CALDB_ASSIGN_OR_RETURN(CompiledStatementPtr compiled,
+                           engine_->stmt_cache_.GetOrCompile(text));
+    return PreparedStatement(engine_, engine_->alive_, id_,
+                             std::move(compiled));
+  });
 }
 
 Result<QueryResult> Session::Execute(const std::string& text) {
-  try {
+  return GuardedCall("Execute", [&] {
     // Stamp this session (and the command text) into the thread's log
-    // context for the duration; Engine::ExecuteImpl narrows the statement
-    // but keeps the session id.
+    // context for the duration; the Engine narrows the statement but
+    // keeps the session id.
     obs::ScopedLogContext log_scope{obs::LogContext{id_, text}};
     return ExecuteImpl(text);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("uncaught exception in Execute: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("uncaught non-exception throw in Execute");
-  }
+  });
 }
 
 Result<QueryResult> Session::ExecuteImpl(const std::string& text) {

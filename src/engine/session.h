@@ -24,8 +24,15 @@
 //   drop temporal rule <name>
 //   advance to <YYYY-MM-DD | day>           drive DBCRON's virtual clock
 //
-// No exception escapes Execute or any other public method (see the
-// no-throw contract in common/result.h).
+// Database statements have one other entry point, the prepared one:
+// Session::Prepare returns a PreparedStatement handle whose Execute binds
+// $n parameters.  Both paths run the Engine's single locked execution
+// body, and every statement is executed (and instrumented) once, by
+// Database::Execute.
+//
+// No exception escapes Execute or any other public method: each runs its
+// body through GuardedCall (common/guarded_call.h), the firewall of the
+// no-throw contract in common/result.h.
 
 #ifndef CALDB_ENGINE_SESSION_H_
 #define CALDB_ENGINE_SESSION_H_
@@ -61,8 +68,8 @@ class Engine;
 ///   auto row = stmt->Execute({Value::Int(37)});
 ///
 /// Handles are cheap to copy (two shared_ptrs + two scalars) and may
-/// outlive the Session that prepared them — and, since PR 10, even the
-/// Engine: the handle carries the engine's liveness token, so Execute
+/// outlive the Session that prepared them — and even the Engine: the
+/// handle carries the engine's liveness token, so Execute
 /// after Engine::Stop() or ~Engine fails with a clean InvalidArgument
 /// instead of undefined behavior.  (Destroying the engine *concurrently
 /// with* an in-flight Execute is still a caller race; the token makes
@@ -134,19 +141,6 @@ class Session {
   /// declare rule, advance to, ...) are not preparable — they fail to
   /// parse here.
   Result<PreparedStatement> Prepare(const std::string& text);
-
-  /// DEPRECATED: executes a raw compiled handle.  This predates
-  /// PreparedStatement and cannot bind parameters — a handle with
-  /// placeholders fails with InvalidArgument.  Migrate:
-  ///
-  ///   before:  auto h = session->Prepare(text);       // raw ptr, old API
-  ///            session->Execute(*h);
-  ///   after:   auto stmt = session->Prepare(text);
-  ///            stmt->Execute();            // or stmt->Execute({v1, v2})
-  ///
-  /// Kept so code holding CompiledStatementPtr (e.g. from
-  /// Engine::Prepare) still runs; new code should not call this.
-  Result<QueryResult> Execute(const CompiledStatementPtr& prepared);
 
   // --- typed calendar surface -----------------------------------------------
 

@@ -319,11 +319,9 @@ Result<std::optional<TimePoint>> TemporalRuleManager::FireRule(
   // Binding (not text splicing) keeps one compiled shape per rule across
   // every firing — and the same bind list replays from the WAL.
   const ParamList fire_params = {Value::Int(fire_day)};
+  static const ParamList kNoParams;
   auto run = [&](const CompiledStatement& stmt) -> Result<QueryResult> {
-    if (stmt.param_count == 1) {
-      return db_->ExecuteCompiled(stmt, fire_params);
-    }
-    return db_->ExecuteCompiled(stmt);
+    return db_->Execute(stmt, stmt.param_count == 1 ? fire_params : kNoParams);
   };
   bool condition_holds = true;
   if (rule.compiled_condition != nullptr) {

@@ -1,6 +1,6 @@
 // The parse-once pipeline at the db layer: CompileStatement metadata
 // (write classification, referenced tables, normalization), the
-// Database::Prepare / ExecuteCompiled entry points, the EXPLAIN/PROFILE
+// compiled Database::Execute entry point, the EXPLAIN/PROFILE
 // single-parse contract, and DefineRule's fail-fast on unparseable
 // actions.
 
@@ -120,12 +120,12 @@ TEST(PreparedExecution, HandleExecutesRepeatedlyWithoutReparsing) {
   Database db;
   ASSERT_TRUE(db.Execute("create table t (x int)").ok());
 
-  auto prepared = Database::Prepare("append t (x = 7)");
+  auto prepared = CompileStatement("append t (x = 7)");
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
 
   const int64_t parses_before = ParseCount();
   for (int i = 0; i < 10; ++i) {
-    auto r = db.ExecuteCompiled(**prepared);
+    auto r = db.Execute(**prepared);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   EXPECT_EQ(ParseCount(), parses_before);  // zero parses on the hot path
@@ -189,11 +189,11 @@ TEST(EventRules, FiringsExecuteThePrecompiledAction) {
   ASSERT_EQ(db.event_rules().size(), 1u);
   ASSERT_NE(db.event_rules()[0].compiled_command, nullptr);
 
-  auto trigger = Database::Prepare("append t (x = 5)");
+  auto trigger = CompileStatement("append t (x = 5)");
   ASSERT_TRUE(trigger.ok());
   const int64_t before = ParseCount();
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(db.ExecuteCompiled(**trigger).ok());
+    ASSERT_TRUE(db.Execute(**trigger).ok());
   }
   // Neither the trigger statement nor the rule action parsed.
   EXPECT_EQ(ParseCount(), before);

@@ -2,7 +2,8 @@
 // across the pool boundary (ExecuteAsync) and on the DBCRON daemon thread
 // (AdvanceTo), audit records for temporal and event rules with
 // scheduled-vs-actual days and triggering statement/session, the
-// slow-statement log, and the audit ring's bound under sustained firing.
+// slow-statement log, the audit ring's bound under sustained firing, and
+// statement accounting: every statement recorded once, on every path.
 //
 // These tests read the process-global tracer / audit trail / logger, so
 // each clears them first; gtest runs tests in one binary sequentially.
@@ -198,6 +199,52 @@ TEST(EngineTelemetryTest, ZeroThresholdDisablesSlowStatementLog) {
   for (const obs::LogRecord& r : obs::Log().Snapshot()) {
     EXPECT_NE(r.event, "db.slow_statement");
   }
+}
+
+// Snapshot of the three statement instruments.
+struct StatementCounts {
+  int64_t engine = obs::Metrics().counter("caldb.engine.statements")->value();
+  int64_t db = obs::Metrics().counter("caldb.db.statements")->value();
+  int64_t latency =
+      obs::Metrics().histogram("caldb.db.statement_ns")->count();
+};
+
+TEST(EngineTelemetryTest, EveryStatementIsCountedOncePerLayer) {
+  ASSERT_TRUE(obs::Enabled());
+  auto engine = Engine::Create().value();
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session->Execute("create table t (x int)").ok());
+  auto insert = session->Prepare("append t (x = $1)");
+  ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+
+  // N text + N prepared statements, no rules armed: each one is one
+  // engine statement, one db statement and one latency sample.
+  constexpr int kN = 25;
+  const StatementCounts before;
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_TRUE(session->Execute("append t (x = " + std::to_string(i) + ")")
+                    .ok());
+    ASSERT_TRUE(insert->Execute({Value::Int(i)}).ok());
+  }
+  const StatementCounts after;
+  EXPECT_EQ(after.engine - before.engine, 2 * kN);
+  EXPECT_EQ(after.db - before.db, 2 * kN);
+  EXPECT_EQ(after.latency - before.latency, 2 * kN);
+
+  // A DBCRON firing executes its action through the database but is not
+  // an engine statement.
+  ASSERT_TRUE(session
+                  ->Execute("declare rule daily on DAYS do "
+                            "append t (x = $1)")
+                  .ok());
+  const StatementCounts pre_fire;
+  ASSERT_TRUE(engine->AdvanceTo(5).ok());
+  const StatementCounts fired;
+  const int64_t fires = engine->CronStats().fires;
+  ASSERT_GT(fires, 0);
+  EXPECT_EQ(fired.engine - pre_fire.engine, 0);
+  EXPECT_EQ(fired.db - pre_fire.db, fires);
+  EXPECT_EQ(fired.latency - pre_fire.latency, fires);
 }
 
 TEST(EngineTelemetryTest, AuditRingStaysBoundedUnderSustainedFiring) {

@@ -29,9 +29,11 @@ esac
 build_dir="${1:-$repo_root/build-asan}"
 
 # Cheap static checks first: every registered metric must be documented,
-# and every WAL record type must have a documented on-disk meaning.
+# every WAL record type must have a documented on-disk meaning, and no
+# catch clause may appear outside the GuardedCall firewall.
 "$repo_root/tools/lint_metrics.sh"
 "$repo_root/tools/lint_wal.sh"
+"$repo_root/tools/lint_firewall.sh"
 
 if [[ "$run_asan" == 1 ]]; then
   cmake -B "$build_dir" -S "$repo_root" -DCALDB_SANITIZE=address
