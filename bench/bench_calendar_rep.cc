@@ -80,18 +80,18 @@ void BM_Flattened(benchmark::State& state) {
 }
 BENCHMARK(BM_Flattened)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-// An exact-key cache hit returns a pointer to a shared handle: O(1)
-// regardless of the cached calendar's interval count.
+// An exact-key cache hit copies out a shared handle: O(1) regardless of
+// the cached calendar's interval count.
 void BM_GenCacheExactHit(benchmark::State& state) {
   const int64_t n = state.range(0);
-  GenCache cache;
-  cache.SetBudget(8, static_cast<size_t>(-1));
-  const GenCache::Key key(1, 1, 1, n);
+  CalendarCache cache(8, static_cast<size_t>(-1));
+  const auto key = CalendarCache::Key::Base(Granularity::kDays,
+                                            Granularity::kDays, {1, n});
   cache.Insert(key, DaysCalendar(n));
   for (auto _ : state) {
-    const Calendar* hit = cache.Find(key);
-    Calendar out = *hit;  // what the evaluator hands to the register
-    benchmark::DoNotOptimize(out);
+    // The handle the evaluator hands to the register.
+    auto hit = cache.FindBase(key);
+    benchmark::DoNotOptimize(hit);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -111,8 +111,8 @@ void BM_WarmEvaluatorRun(benchmark::State& state) {
   Plan plan = CompileScript(script).value();
   EvalOptions opts;
   opts.window_days = Interval{1, state.range(0)};
-  opts.gen_cache_max_bytes = static_cast<size_t>(-1);
-  Evaluator evaluator(&catalog.time_system(), &catalog);
+  CalendarCache cache(CalendarCache::kMaxEntries, static_cast<size_t>(-1));
+  Evaluator evaluator(&catalog.time_system(), &catalog, &cache);
   // Warm the cache once outside the timed loop.
   if (!evaluator.Run(plan, opts).ok()) {
     state.SkipWithError("warmup run failed");

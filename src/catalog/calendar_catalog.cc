@@ -22,10 +22,6 @@ bool IsBaseName(const std::string& name) {
 // Registry instruments of the catalog layer.
 struct CatalogMetrics {
   obs::Counter* defines = obs::Metrics().counter("caldb.catalog.defines");
-  obs::Counter* eval_cache_hits =
-      obs::Metrics().counter("caldb.catalog.eval_cache.hits");
-  obs::Counter* eval_cache_misses =
-      obs::Metrics().counter("caldb.catalog.eval_cache.misses");
   obs::Histogram* eval_ns = obs::Metrics().histogram("caldb.catalog.eval_ns");
 };
 
@@ -90,12 +86,7 @@ Status CalendarCatalog::DefineDerived(const std::string& name,
     CALDB_RETURN_IF_ERROR(CheckNameFreeLocked(name));
     defs_[name] = std::move(def);
   }
-  // Version bump before the clear: a racing miss that evaluated against
-  // the pre-define catalog inserts under the old version, where no
-  // post-define lookup can find it.
   version_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  eval_cache_.clear();
   return Status::OK();
 }
 
@@ -116,13 +107,8 @@ Status CalendarCatalog::DefineValues(const std::string& name, Calendar values,
     defs_[name] = std::move(def);
   }
   // A new values calendar changes what derived plans referencing the name
-  // evaluate to (the reference was dangling until now): same bump + clear
-  // discipline as the other mutators.  Pre-PR-10 this path cleared
-  // nothing, which left a Drop+DefineValues redefinition able to revive a
-  // stale racing insert.
+  // evaluate to (the reference was dangling until now).
   version_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  eval_cache_.clear();
   return Status::OK();
 }
 
@@ -134,8 +120,6 @@ Status CalendarCatalog::Drop(const std::string& name) {
     }
   }
   version_.fetch_add(1, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  eval_cache_.clear();
   return Status::OK();
 }
 
@@ -257,26 +241,16 @@ Result<Calendar> CalendarCatalog::EvaluateCalendar(const std::string& name,
     }
     case ResolvedCalendar::Kind::kDerived: {
       // Keyed by the version captured at the top: if a Define*/Drop lands
-      // mid-evaluation (bumping the version and clearing the cache), this
-      // miss's insert files under the captured — now old — version,
-      // unreachable by any post-mutation lookup.  Without the version key
-      // a racing insert could land after the clear and serve stale
-      // content to every later caller.
-      auto key = std::make_tuple(name, version_at_resolve, opts.window_days.lo,
-                                 opts.window_days.hi);
-      {
-        std::lock_guard<std::mutex> cache_lock(cache_mu_);
-        auto cached = eval_cache_.find(key);
-        if (cached != eval_cache_.end()) {
-          Metrics().eval_cache_hits->Increment();
-          return cached->second;  // a COW handle copy
-        }
+      // mid-evaluation, this value files under the now old version, which
+      // no later lookup asks for.  Two racing misses both compute the
+      // (identical) value; the second insert replaces the first.
+      auto key = CalendarCache::Key::Derived(name, version_at_resolve,
+                                             opts.window_days);
+      if (std::optional<Calendar> cached = cache_.FindDerived(key)) {
+        return *std::move(cached);  // a COW handle
       }
-      // Evaluate unlocked: two racing misses both compute the (identical)
-      // value; the second insert overwrites the first.
-      Metrics().eval_cache_misses->Increment();
       obs::ScopedLatency latency(Metrics().eval_ns);
-      Evaluator evaluator(&time_system_, this);
+      Evaluator evaluator(&time_system_, this, &cache_);
       CALDB_ASSIGN_OR_RETURN(ScriptValue value,
                              evaluator.Run(*resolved.plan, opts, stats));
       if (value.kind == ScriptValue::Kind::kNull) {
@@ -286,10 +260,9 @@ Result<Calendar> CalendarCatalog::EvaluateCalendar(const std::string& name,
         return Status::EvalError("calendar '" + name +
                                  "' evaluated to a non-calendar value");
       }
-      {
-        std::lock_guard<std::mutex> cache_lock(cache_mu_);
-        eval_cache_[key] = value.calendar;
-      }
+      // A value that read `today` depends on opts.today_day, which the key
+      // leaves out.
+      if (!evaluator.read_today()) cache_.Insert(key, value.calendar);
       return value.calendar;
     }
   }
@@ -300,7 +273,7 @@ Result<ScriptValue> CalendarCatalog::EvaluateScript(
     const std::string& script_text, const EvalOptions& opts,
     EvalStats* stats) const {
   CALDB_ASSIGN_OR_RETURN(Plan plan, CompileScriptText(script_text));
-  Evaluator evaluator(&time_system_, this);
+  Evaluator evaluator(&time_system_, this, &cache_);
   return evaluator.Run(plan, opts, stats);
 }
 
@@ -503,11 +476,6 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFireDay(
   }
 }
 
-Result<std::optional<TimePoint>> CalendarCatalog::NextFireDayForPlan(
-    const Plan& plan, TimePoint after_day, TimePoint limit_day) const {
-  return NextFirePointForPlan(plan, after_day, limit_day, Granularity::kDays);
-}
-
 Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
     const Plan& plan, TimePoint after_point, TimePoint limit_point,
     Granularity unit, NextFireCursor* cursor, int* evaluations) const {
@@ -525,7 +493,7 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
   int32_t start_year =
       time_system_.CivilFromDayPoint(after_days.lo).year;
   int32_t limit_year = time_system_.CivilFromDayPoint(limit_days.hi).year;
-  Evaluator evaluator(&time_system_, this);
+  Evaluator evaluator(&time_system_, this, &cache_);
   for (int32_t span = 1;; span *= 2) {
     int32_t end_year = std::min<int32_t>(start_year + span - 1, limit_year);
     CALDB_ASSIGN_OR_RETURN(Interval window, YearWindow(start_year, end_year));

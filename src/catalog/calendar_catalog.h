@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -73,12 +72,16 @@ class CalendarCatalog : public CalendarSource {
   const TimeSystem& time_system() const { return time_system_; }
 
   /// Monotonic definition version: bumped by every DefineDerived /
-  /// DefineValues / Drop.  Caches of evaluated calendar content — the
-  /// catalog's own eval-cache and each Session evaluator's gen-cache —
-  /// key or invalidate on this, so no session can serve generations of a
-  /// calendar another session has since redefined.  Starts at 1 (0 is the
-  /// "unversioned" sentinel in EvalOptions).
+  /// DefineValues / Drop.  Derived values in cache() are keyed by it, so
+  /// no session is served a calendar another session has since redefined.
+  /// Starts at 1 (0 marks an empty NextFireCursor).
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
+
+  /// The calendar-value cache shared by every evaluation this catalog
+  /// runs (EvaluateCalendar, EvaluateScript, NextFirePointForPlan);
+  /// ExplainScript runs cold on a private one.  Read-only here: the
+  /// budget is fixed (CalendarCache::kMaxEntries / kMaxBytes).
+  const CalendarCache& cache() const { return cache_; }
 
   /// Defines a derived calendar.  The script is parsed, analyzed against
   /// this catalog, factorized, and compiled; its granularity is inferred
@@ -148,11 +151,6 @@ class CalendarCatalog : public CalendarSource {
                                                TimePoint after_day,
                                                TimePoint limit_day) const;
 
-  /// Same, for an ad-hoc compiled rule expression.
-  Result<std::optional<TimePoint>> NextFireDayForPlan(const Plan& plan,
-                                                      TimePoint after_day,
-                                                      TimePoint limit_day) const;
-
   /// Granularity-generalized next firing: points are granules of `unit`
   /// (HOURS for process-control rules, DAYS for the paper's examples).
   /// With a `cursor`, a window it holds is searched without evaluating,
@@ -178,27 +176,21 @@ class CalendarCatalog : public CalendarSource {
   // compilation: a plan being compiled re-enters Resolve(), which takes
   // and releases the shared lock per call — holding mu_ across the
   // compile would self-deadlock and stall writers behind long
-  // evaluations.  `cache_mu_` guards only `eval_cache_`; a miss evaluates
-  // unlocked and inserts afterwards (two racing misses both compute; the
-  // values are identical, last insert wins).
+  // evaluations.  cache_ locks itself, per lookup or insert, and is never
+  // taken together with mu_.
   // Lock ordering: an Engine's db lock may be held when these are taken
   // (calendar operators run inside query execution); the reverse never
   // happens — the catalog does not call into the database.
   mutable std::shared_mutex mu_;
   std::map<std::string, CalendarDef> defs_;
-  // See version().  Bumped *before* the mutator's cache clear, so an
-  // insert racing the clear (its unlocked evaluation started pre-mutation)
-  // lands under the old version and is unreachable by post-mutation
-  // lookups — the clear alone could not guarantee that.
+  // See version().  A mutator bumps it after changing defs_, so an
+  // evaluation racing the change, which read the version first, files its
+  // value under the old version, unreachable by post-mutation lookups.
   std::atomic<uint64_t> version_{1};
-  // Evaluated values of derived calendars, keyed by (name, catalog
-  // version, window) — the caching role of the CALENDARS row's `values`
-  // column.  Cleared on Define*/Drop; the version key component is what
-  // makes a stale racing insert harmless (see version_ above).
-  mutable std::mutex cache_mu_;
-  mutable std::map<std::tuple<std::string, uint64_t, TimePoint, TimePoint>,
-                   Calendar>
-      eval_cache_;
+  // The caching role of the CALENDARS row's `values` column (§3.2), plus
+  // the base generations of §3.4.  Mutators clear nothing: the version key
+  // makes old derived values unreachable and the LRU reclaims them.
+  mutable CalendarCache cache_;
 };
 
 }  // namespace caldb

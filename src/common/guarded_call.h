@@ -3,7 +3,9 @@
 //
 // Every public Engine, Session and PreparedStatement entry point — and the
 // DBCRON thread's advance, which runs user rule callbacks off any caller's
-// stack — runs its body through GuardedCall exactly once.  An exception
+// stack — runs its body through GuardedCall exactly once; each temporal
+// rule callback runs through it too, so a throw fails that firing alone
+// and DBCRON goes on with the others.  An exception
 // escaping the body (a defect below the facade, or a throwing user
 // callback) comes back as Status::Internal naming the entry point, so a
 // server worker or the daemon thread degrades into an error return instead

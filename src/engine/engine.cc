@@ -639,13 +639,15 @@ Status Engine::AdvanceTo(TimePoint day) {
   return GuardedCall("AdvanceTo", [&]() -> Status {
     std::unique_lock<std::mutex> lock(cron_mu_);
     if (cron_stop_) return Status::InvalidArgument("engine is stopped");
+    const TimePoint from = cron_reached_;
     if (day > cron_target_) {
       cron_target_ = day;
       cron_cv_.notify_one();
     }
     cron_done_cv_.wait(lock,
                        [&] { return cron_reached_ >= day || cron_stop_; });
-    Status st = cron_status_;
+    // An error of a chunk that ran while this call waited.
+    Status st = cron_error_day_ > from ? cron_error_ : Status::OK();
     lock.unlock();
     MaybeCheckpoint();
     return st;
@@ -709,7 +711,10 @@ void Engine::CronLoop() {
       reached = chunk;
       std::unique_lock<std::mutex> lock(cron_mu_);
       cron_reached_ = chunk;
-      if (!st.ok() && cron_status_.ok()) cron_status_ = st;
+      if (!st.ok()) {
+        cron_error_ = st;
+        cron_error_day_ = chunk;
+      }
       cron_done_cv_.notify_all();
       // A concurrent AdvanceTo may have raised the target mid-advance.
       target = cron_target_;
@@ -741,7 +746,8 @@ Status Engine::Stop() {
     Status st;
     {
       std::unique_lock<std::mutex> lock(cron_mu_);
-      st = cron_status_;
+      // Whether the daemon's last chunk failed.
+      if (cron_error_day_ == cron_reached_) st = cron_error_;
     }
     if (wal_ != nullptr) {
       if (opts_.checkpoint_on_stop) {

@@ -81,9 +81,6 @@ struct EngineOptions {
   TimePoint rule_horizon = 20000;
   /// Granularity of rule time points (DAYS; HOURS for process control).
   Granularity rule_unit = Granularity::kDays;
-  /// Default gen-cache budget handed to each new Session's evaluator.
-  size_t session_gen_cache_entries = 64;
-  size_t session_gen_cache_bytes = 16u << 20;
   /// Capacity of the shared compiled-statement cache (LRU entries; every
   /// session, rule firing and WAL replay share it).  0 disables caching —
   /// each execution compiles fresh.  See engine/statement_cache.h.
@@ -187,7 +184,8 @@ class Engine {
   /// Plays the virtual clock forward to `day`, firing due temporal rules
   /// from the DBCRON thread.  Blocks until time has reached `day`; rules
   /// fire under the exclusive database lock, interleaved with (not inside)
-  /// concurrent statements.  Returns the first firing error, if any.
+  /// concurrent statements.  A failed firing does not stop the advance;
+  /// returns an error of a DBCRON chunk that ran during the call, if any.
   Status AdvanceTo(TimePoint day);
   Status AdvanceToCivil(const CivilDate& date);
 
@@ -226,6 +224,8 @@ class Engine {
   /// Drains the DBCRON thread's pending advance and the pool, then joins
   /// both.  Idempotent; called by the destructor.  After Stop, Execute
   /// keeps working single-threaded but AdvanceTo / ExecuteAsync fail.
+  /// Returns the error of DBCRON's last chunk if it failed, and any
+  /// checkpoint/sync error.
   Status Stop();
 
   // --- locked access to the parts -------------------------------------------
@@ -354,7 +354,10 @@ class Engine {
   std::condition_variable cron_done_cv_;  // wakes AdvanceTo waiters
   TimePoint cron_target_ = 1;
   TimePoint cron_reached_ = 1;
-  Status cron_status_;
+  // The most recent failed chunk's status and the day it reached
+  // (0: none yet).
+  Status cron_error_;
+  TimePoint cron_error_day_ = 0;
   bool cron_stop_ = false;
 
   std::atomic<bool> stopped_{false};

@@ -59,13 +59,8 @@ std::string RenderScriptValue(const ScriptValue& value) {
 
 }  // namespace
 
-Session::Session(Engine* engine, uint64_t id)
-    : engine_(engine),
-      id_(id),
-      evaluator_(&engine->time_system(), &engine->catalog()) {
+Session::Session(Engine* engine, uint64_t id) : engine_(engine), id_(id) {
   opts_.window_days = Interval{1, 365};
-  opts_.gen_cache_max_entries = engine->options().session_gen_cache_entries;
-  opts_.gen_cache_max_bytes = engine->options().session_gen_cache_bytes;
 }
 
 Session::~Session() { engine_->ReleaseSession(); }
@@ -77,10 +72,6 @@ TimePoint Session::Today() const {
 EvalOptions Session::EffectiveOptions() const {
   EvalOptions opts = opts_;
   opts.today_day = Today();
-  // Stamp the catalog's current definition version so this session's
-  // evaluator invalidates its gen-cache across another session's
-  // define/drop (the two-session staleness bug PR 10 fixes).
-  opts.catalog_version = engine_->catalog().version();
   return opts;
 }
 
@@ -93,10 +84,9 @@ Status Session::SetWindowYears(int32_t first_year, int32_t last_year) {
 Result<ScriptValue> Session::EvalScript(const std::string& script) {
   return GuardedCall("EvalScript", [&]() -> Result<ScriptValue> {
     Metrics().scripts->Increment();
-    CALDB_ASSIGN_OR_RETURN(Plan plan,
-                           engine_->catalog().CompileScriptText(script));
     last_stats_ = EvalStats{};
-    return evaluator_.Run(plan, EffectiveOptions(), &last_stats_);
+    return engine_->catalog().EvaluateScript(script, EffectiveOptions(),
+                                             &last_stats_);
   });
 }
 

@@ -1,11 +1,11 @@
 // caldb::Session — a per-client handle on a caldb::Engine.
 //
 // A Session carries the client-local state a connection would hold in the
-// paper's DBMS: the evaluation window, "today" (pinned or tracking the
-// engine's virtual clock), and a private Evaluator whose bounded gen-cache
-// stays warm across calls — so repeated calendar probes from one client
-// cost pointer copies, while different clients never contend on a shared
-// evaluator.
+// paper's DBMS: the evaluation window and "today" (pinned or tracking the
+// engine's virtual clock).  Calendar evaluation goes through the engine's
+// CalendarCatalog, whose one bounded calendar-value cache every session
+// shares: a calendar one client evaluated is a handle copy for the next,
+// and the cache's mutex is held only for a lookup or an insert.
 //
 // Sessions are single-threaded by design (create one per thread via
 // Engine::CreateSession); the Engine they point into is fully thread-safe
@@ -144,7 +144,7 @@ class Session {
 
   // --- typed calendar surface -----------------------------------------------
 
-  /// Compiles and runs a calendar script on this session's evaluator.
+  /// Compiles and runs a calendar script with this session's options.
   Result<ScriptValue> EvalScript(const std::string& script);
 
   /// Evaluates a named calendar over this session's window.
@@ -189,7 +189,6 @@ class Session {
 
   Engine* engine_;
   const uint64_t id_;
-  Evaluator evaluator_;
   EvalOptions opts_;
   std::optional<TimePoint> today_override_;
   EvalStats last_stats_;

@@ -27,6 +27,10 @@ struct EvalMetrics {
       obs::Metrics().counter("caldb.eval.gen_cache.misses");
   obs::Counter* cache_evictions =
       obs::Metrics().counter("caldb.eval.gen_cache.evictions");
+  obs::Counter* derived_hits =
+      obs::Metrics().counter("caldb.catalog.eval_cache.hits");
+  obs::Counter* derived_misses =
+      obs::Metrics().counter("caldb.catalog.eval_cache.misses");
   obs::Histogram* run_ns = obs::Metrics().histogram("caldb.eval.run_ns");
 };
 
@@ -37,58 +41,56 @@ EvalMetrics& Metrics() {
 
 }  // namespace
 
-void GenCache::SetBudget(size_t max_entries, size_t max_bytes) {
-  max_entries_ = max_entries;
-  max_bytes_ = max_bytes;
-  EvictPastBudget();
-}
-
-void GenCache::Touch(std::list<Entry>::iterator it) {
-  lru_.splice(lru_.begin(), lru_, it);
-}
-
-const Calendar* GenCache::Find(const Key& key) {
+std::optional<Calendar> CalendarCache::FindLocked(const Key& key) {
   auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  Touch(it->second);
-  return &it->second->value;
+  if (it == index_.end()) return std::nullopt;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->value;
 }
 
-const Calendar* GenCache::FindCovering(const Key& key) {
-  for (auto& [ckey, entry] : index_) {
-    if (std::get<0>(ckey) != std::get<0>(key) ||
-        std::get<1>(ckey) != std::get<1>(key)) {
-      continue;
-    }
-    if (std::get<2>(ckey) > std::get<2>(key) ||
-        std::get<3>(ckey) < std::get<3>(key)) {
-      continue;
-    }
-    Touch(entry);
-    return &entry->value;
+std::optional<CalendarCache::BaseHit> CalendarCache::FindBase(const Key& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (std::optional<Calendar> exact = FindLocked(key)) {
+    Metrics().cache_hits->Increment();
+    return BaseHit{std::move(*exact), false};
   }
-  return nullptr;
+  Key first = key;
+  first.lo = first.hi = INT64_MIN;
+  for (auto it = index_.lower_bound(first);
+       it != index_.end() && it->first.name.empty() &&
+       it->first.granularity == key.granularity &&
+       it->first.unit == key.unit && it->first.lo <= key.lo;
+       ++it) {
+    if (it->first.hi < key.hi) continue;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    Metrics().cache_covered_hits->Increment();
+    return BaseHit{it->second->value, true};
+  }
+  Metrics().cache_misses->Increment();
+  return std::nullopt;
 }
 
-void GenCache::Insert(const Key& key, Calendar value) {
+std::optional<Calendar> CalendarCache::FindDerived(const Key& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::optional<Calendar> hit = FindLocked(key);
+  (hit ? Metrics().derived_hits : Metrics().derived_misses)->Increment();
+  return hit;
+}
+
+void CalendarCache::Insert(Key key, Calendar value) {
+  const size_t bytes =
+      static_cast<size_t>(value.TotalIntervals()) * sizeof(Interval) +
+      sizeof(Entry) + key.name.size();
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     bytes_ -= it->second->bytes;
     lru_.erase(it->second);
     index_.erase(it);
   }
-  Entry entry;
-  entry.key = key;
-  entry.bytes = static_cast<size_t>(value.TotalIntervals()) * sizeof(Interval) +
-                sizeof(Entry);
-  entry.value = std::move(value);
-  bytes_ += entry.bytes;
-  lru_.push_front(std::move(entry));
-  index_[key] = lru_.begin();
-  EvictPastBudget();
-}
-
-void GenCache::EvictPastBudget() {
+  bytes_ += bytes;
+  lru_.push_front(Entry{key, std::move(value), bytes});
+  index_.emplace(std::move(key), lru_.begin());
   while (!lru_.empty() &&
          (index_.size() > max_entries_ || bytes_ > max_bytes_)) {
     const Entry& victim = lru_.back();
@@ -99,10 +101,14 @@ void GenCache::EvictPastBudget() {
   }
 }
 
-void GenCache::Clear() {
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
+size_t CalendarCache::entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return index_.size();
+}
+
+size_t CalendarCache::bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
 }
 
 Result<Interval> ConvertDayWindow(const TimeSystem& ts, const Interval& days,
@@ -134,17 +140,6 @@ Result<ScriptValue> Evaluator::Run(const Plan& plan, const EvalOptions& opts,
                                    EvalStats* stats) {
   stats_ = stats;
   read_today_ = false;
-  // The catalog was redefined since the cache was filled: drop everything.
-  // Cheap insurance today (only catalog-independent base generations are
-  // cached), load-bearing the moment any catalog-derived value lands in
-  // the gen-cache — and it pins the Session-facing guarantee that one
-  // session's cache never outlives another session's redefinition.
-  if (opts.catalog_version != 0 &&
-      opts.catalog_version != gen_cache_version_) {
-    gen_cache_.Clear();
-    gen_cache_version_ = opts.catalog_version;
-  }
-  gen_cache_.SetBudget(opts.gen_cache_max_entries, opts.gen_cache_max_bytes);
   obs::ScopedLatency latency(Metrics().run_ns);
   obs::Tracer::Span span = obs::StartSpan("eval.run");
   Result<ScriptValue> result = RunPlan(plan, opts, /*depth=*/0);
@@ -262,31 +257,21 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
         }
         return window.status();
       }
-      const GenCache::Key key(static_cast<int>(step.gran_arg),
-                              static_cast<int>(unit), window->lo, window->hi);
-      if (const Calendar* cached = gen_cache_.Find(key)) {
-        // Exact hit: a shared-rep handle copy, O(1) in the interval count.
+      const auto key = CalendarCache::Key::Base(step.gran_arg, unit, *window);
+      if (std::optional<CalendarCache::BaseHit> hit = cache_->FindBase(key)) {
         if (stats_ != nullptr) ++stats_->cache_hits;
-        Metrics().cache_hits->Increment();
-        set(step.dst, *cached);
-        return Status::OK();
-      }
-      // No exact entry — reuse any cached window covering the request.
-      // Generation over W materializes exactly the granules overlapping W,
-      // so slicing a covering entry with a relaxed-overlaps sweep is
-      // bit-identical to generating afresh (the cache stays coherent
-      // without storing per-slice copies).
-      if (const Calendar* covering = gen_cache_.FindCovering(key)) {
+        if (!hit->covering) {
+          // A shared-rep handle copy, O(1) in the interval count.
+          set(step.dst, std::move(hit->value));
+          return Status::OK();
+        }
         CALDB_ASSIGN_OR_RETURN(
             Calendar sliced,
-            ForEachInterval(*covering, ListOp::kOverlaps, *window,
+            ForEachInterval(hit->value, ListOp::kOverlaps, *window,
                             /*strict=*/false));
-        if (stats_ != nullptr) ++stats_->cache_hits;
-        Metrics().cache_covered_hits->Increment();
         set(step.dst, std::move(sliced));
         return Status::OK();
       }
-      Metrics().cache_misses->Increment();
       CALDB_ASSIGN_OR_RETURN(
           Calendar generated,
           GenerateBaseCalendar(*ts_, step.gran_arg, unit, *window,
@@ -297,7 +282,7 @@ Status Evaluator::RunStepImpl(const PlanStep& step, Frame* frame,
       }
       Metrics().generate_calls->Increment();
       Metrics().intervals_generated->Add(generated.TotalIntervals());
-      gen_cache_.Insert(key, generated);
+      cache_->Insert(key, generated);
       set(step.dst, std::move(generated));
       return Status::OK();
     }

@@ -6,8 +6,9 @@
 #include <cstddef>
 #include <list>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/result.h"
@@ -65,46 +66,68 @@ struct EvalOptions {
   /// When set, per-plan-node execution counts/timings are recorded here
   /// (EXPLAIN/PROFILE).  Propagates into nested kInvoke plans.
   StepProfile* profile = nullptr;
-  /// Budget of the evaluator's generated-calendar cache (entries and
-  /// payload bytes); least-recently-used entries are evicted past either
-  /// limit, so long DBCRON sessions cannot grow the cache without bound.
-  size_t gen_cache_max_entries = 64;
-  size_t gen_cache_max_bytes = 16u << 20;  // 16 MiB of interval payload
-  /// The CalendarCatalog definition version this evaluation runs against
-  /// (CalendarCatalog::version()).  A persistent Evaluator (each Session
-  /// keeps one) clears its gen-cache when the version changes between
-  /// runs, so cached generations never outlive a DefineDerived /
-  /// DefineValues / Drop in another session.  0 (the default) means
-  /// "unversioned": the cache is kept across runs unconditionally —
-  /// correct for catalog-free use and throwaway evaluators.
-  uint64_t catalog_version = 0;
 };
 
-/// Size/byte-budget LRU over generated base calendars, keyed by
-/// (granularity, unit, window.lo, window.hi).  Values are shared Calendar
-/// handles, so a hit costs a pointer copy, and the byte accounting charges
-/// each entry its rep's leaf payload.  Evictions feed
-/// "caldb.eval.gen_cache.evictions".
-class GenCache {
+/// The one bounded cache of evaluated calendar values (DESIGN.md §5): an
+/// LRU capped by entry count and payload bytes, over two kinds of key.
+/// Base generations (granularity, unit, window) do not depend on the
+/// catalog; a lookup may return a cached window covering the request, for
+/// the caller to slice.  Derived values (name, catalog version read before
+/// Resolve, window) match exactly; values of an older catalog are never
+/// asked for again and age out.  The lock covers one lookup or insert:
+/// values are COW handles copied out, so evaluation runs unlocked.  Base
+/// lookups feed "caldb.eval.gen_cache.{hits,covered_hits,misses}", derived
+/// lookups "caldb.catalog.eval_cache.{hits,misses}", evictions of either
+/// kind "caldb.eval.gen_cache.evictions".
+class CalendarCache {
  public:
-  using Key = std::tuple<int, int, TimePoint, TimePoint>;
+  /// The budget: room for ~80 hot derived values (ten calendars over
+  /// eight one-year windows) and their base generations, with distinct
+  /// client-chosen windows churning through the rest.
+  static constexpr size_t kMaxEntries = 1024;
+  static constexpr size_t kMaxBytes = 32u << 20;
 
-  void SetBudget(size_t max_entries, size_t max_bytes);
+  explicit CalendarCache(size_t max_entries = kMaxEntries,
+                         size_t max_bytes = kMaxBytes)
+      : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
-  /// Exact-key lookup; touches the entry.  Null when absent.
-  const Calendar* Find(const Key& key);
+  // Base keys have an empty name and version 0, so they sort first,
+  // grouped by (granularity, unit) and then by window: the covering scan
+  // walks one group.  Catalog names are never empty.
+  struct Key {
+    std::string name;
+    uint64_t version = 0;
+    int granularity = 0;
+    int unit = 0;
+    TimePoint lo = 0;
+    TimePoint hi = 0;
+    auto operator<=>(const Key&) const = default;
 
-  /// First entry (in key order, matching the historical std::map scan)
-  /// with the same granularity/unit whose window covers the requested one;
-  /// touches it.  Null when absent.
-  const Calendar* FindCovering(const Key& key);
+    static Key Base(Granularity granularity, Granularity unit,
+                    const Interval& window) {
+      return {"", 0, static_cast<int>(granularity), static_cast<int>(unit),
+              window.lo, window.hi};
+    }
+    static Key Derived(std::string name, uint64_t version,
+                       const Interval& window) {
+      return {std::move(name), version, 0, 0, window.lo, window.hi};
+    }
+  };
 
+  struct BaseHit {
+    Calendar value;
+    bool covering = false;  // a wider window: slice it down to the request
+  };
+  /// The exact entry, else the first cached window (in window order) of
+  /// the same granularity and unit that covers the key's.  Touches it.
+  std::optional<BaseHit> FindBase(const Key& key);
+  /// Exact match only.
+  std::optional<Calendar> FindDerived(const Key& key);
   /// Inserts (replacing any previous value) and evicts past the budget.
-  void Insert(const Key& key, Calendar value);
+  void Insert(Key key, Calendar value);
 
-  void Clear();
-  size_t entries() const { return index_.size(); }
-  size_t bytes() const { return bytes_; }
+  size_t entries() const;
+  size_t bytes() const;
 
  private:
   struct Entry {
@@ -112,14 +135,16 @@ class GenCache {
     Calendar value;
     size_t bytes = 0;
   };
-  void Touch(std::list<Entry>::iterator it);
-  void EvictPastBudget();
+  using Lru = std::list<Entry>;
 
-  size_t max_entries_ = 64;
-  size_t max_bytes_ = 16u << 20;
+  std::optional<Calendar> FindLocked(const Key& key);  // requires mu_
+
+  const size_t max_entries_;
+  const size_t max_bytes_;
+  mutable std::mutex mu_;
   size_t bytes_ = 0;
-  std::list<Entry> lru_;  // front = most recently used
-  std::map<Key, std::list<Entry>::iterator> index_;
+  Lru lru_;  // front = most recently used
+  std::map<Key, Lru::iterator> index_;
 };
 
 /// Counters used by the factorization / push-down benchmarks.  A thin
@@ -134,10 +159,15 @@ struct EvalStats {
 
 class Evaluator {
  public:
-  /// Neither pointer is owned.  `source` may be null when the plan has no
-  /// kLoadValues / kInvoke steps.
-  Evaluator(const TimeSystem* ts, const CalendarSource* source)
-      : ts_(ts), source_(source) {}
+  /// No pointer is owned.  `source` may be null when the plan has no
+  /// kLoadValues / kInvoke steps.  `cache` is shared with other evaluators
+  /// (the catalog passes its own); without one the evaluator keeps a
+  /// private cache that lives as long as it does.
+  Evaluator(const TimeSystem* ts, const CalendarSource* source,
+            CalendarCache* cache = nullptr)
+      : ts_(ts),
+        source_(source),
+        cache_(cache != nullptr ? cache : &own_cache_) {}
 
   /// Runs a plan to completion.
   Result<ScriptValue> Run(const Plan& plan, const EvalOptions& opts,
@@ -146,7 +176,8 @@ class Evaluator {
   /// Whether the last Run executed a `today` step, in its own plan or in
   /// any derived plan it invoked.  A run that did not read `today`
   /// depends only on the plan, the window and the catalog version, which
-  /// is what lets DBCRON memoize it (CalendarCatalog::NextFireCursor).
+  /// is what lets DBCRON (CalendarCatalog::NextFireCursor) and the
+  /// derived-value cache memoize it.
   bool read_today() const { return read_today_; }
 
  private:
@@ -168,18 +199,13 @@ class Evaluator {
   const TimeSystem* ts_;
   const CalendarSource* source_;
   EvalStats* stats_ = nullptr;
-  // Cache of generated base calendars, keyed by granularity/unit/window.
-  // Lookups also reuse any cached entry whose window *covers* the request:
-  // because fresh generation over W yields exactly the granules overlapping
-  // W, slicing a covering entry down to W (relaxed overlaps sweep) is
-  // bit-identical to regenerating — the cache stays coherent without
-  // storing the slice.  Bounded LRU (EvalOptions::gen_cache_max_*); hits
-  // hand out shared reps, so they cost a pointer copy regardless of the
-  // calendar's interval count.
-  GenCache gen_cache_;
-  // The catalog version gen_cache_ content was computed against; Run
-  // clears the cache when EvalOptions::catalog_version moves past it.
-  uint64_t gen_cache_version_ = 0;
+  // Base generations are looked up in, and stored to, *cache_.  A lookup
+  // also reuses any cached window *covering* the request: generation over
+  // W yields exactly the granules overlapping W, so slicing a covering
+  // entry down to W (relaxed overlaps sweep) is bit-identical to
+  // regenerating, and the cache stays coherent without storing the slice.
+  CalendarCache own_cache_;
+  CalendarCache* cache_;
   bool read_today_ = false;  // see read_today(); reset by each Run
 };
 

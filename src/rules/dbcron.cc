@@ -60,6 +60,13 @@ void DbCron::NoteDepth() {
 Status DbCron::AdvanceTo(TimePoint day) {
   TimePoint now = clock_->NowDay();
   if (day < now) return Status::OK();
+  // A failed firing or probe does not stop the advance: the other rules
+  // still fire, and the clock still reaches `day`.  The first error is
+  // the advance's status.
+  Status first_error;
+  auto note = [&first_error](const Status& st) {
+    if (!st.ok() && first_error.ok()) first_error = st;
+  };
   while (true) {
     // Next event: the earliest of (scheduled probe, earliest pending
     // firing).
@@ -99,6 +106,9 @@ Status DbCron::AdvanceTo(TimePoint day) {
       // before the name lookup filled `fired.rule_name`): nothing was
       // actually fired, so no audit record either.
       if (!fired.rule_name.empty()) {
+        // The firing's error, else its reschedule's.
+        const Status st = fired.status.ok() ? next.status() : fired.status;
+        note(st);
         obs::AuditRecord record;
         record.source = obs::AuditRecord::Source::kDbCron;
         record.rule = fired.rule_name;
@@ -107,16 +117,13 @@ Status DbCron::AdvanceTo(TimePoint day) {
         record.fired_day = clock_day;
         record.duration_ns = fired.duration_ns;
         record.trigger = "dbcron";
-        if (!fired.status.ok()) {
+        if (!st.ok()) {
           record.outcome = obs::AuditRecord::Outcome::kError;
-          record.error = fired.status.ToString();
+          record.error = st.ToString();
         } else if (fired.suppressed) {
           record.outcome = obs::AuditRecord::Outcome::kSuppressed;
         }
         obs::Audit().Record(std::move(record));
-      }
-      if (!next.ok() && next.status().code() != StatusCode::kNotFound) {
-        return next.status();
       }
       // If the rule's next firing lands inside the already probed window,
       // schedule it directly (RULE-TIME was updated, but this window's
@@ -126,12 +133,14 @@ Status DbCron::AdvanceTo(TimePoint day) {
         NoteDepth();
       }
     } else {
-      CALDB_RETURN_IF_ERROR(Probe(now));
+      // A failed probe loses nothing: the next one scans RULE-TIME from
+      // the beginning of time and fires what this one missed, late.
+      note(Probe(now));
       next_probe_day_ = PointAdd(now, probe_period_days_);
     }
   }
   clock_->AdvanceTo(day);
-  return Status::OK();
+  return first_error;
 }
 
 }  // namespace caldb

@@ -40,6 +40,9 @@ class DbCron {
   /// Plays virtual time forward to `day` inclusive, probing and firing as
   /// time passes.  Rules becoming due are fired in (fire_day, rule_id)
   /// order; a rule declared mid-window is picked up at the next probe.
+  /// A failed firing is still rescheduled and the clock still reaches
+  /// `day`; the first error (also in the firing's audit record) is
+  /// returned.
   Status AdvanceTo(TimePoint day);
 
   /// Convenience: advance by `days`.

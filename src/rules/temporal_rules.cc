@@ -1,5 +1,6 @@
 #include "rules/temporal_rules.h"
 
+#include "common/guarded_call.h"
 #include "common/macros.h"
 #include "obs/obs.h"
 
@@ -298,23 +299,28 @@ Status TemporalRuleManager::UpdateRuleTime(int64_t id,
 Result<std::optional<TimePoint>> TemporalRuleManager::FireRule(
     int64_t id, TimePoint fire_day, FireOutcome* outcome) {
   const int64_t start_ns = obs::NowNs();
-  // Every exit path funnels through `fail`/success so `outcome` is always
-  // complete — DBCRON turns it into the audit record either way.
-  auto finish = [&](Status st) -> Status {
-    if (outcome != nullptr) {
-      outcome->status = st;
-      outcome->duration_ns = obs::NowNs() - start_ns;
-    }
-    return st;
-  };
   auto it = rules_.find(id);
   if (it == rules_.end()) {
-    return finish(
-        Status::NotFound("no temporal rule with id " + std::to_string(id)));
+    return Status::NotFound("no temporal rule with id " + std::to_string(id));
   }
   TemporalRule& rule = it->second;
-  if (outcome != nullptr) outcome->rule_name = rule.name;
+  outcome->rule_name = rule.name;
   current_fire_day_ = fire_day;
+  outcome->status = RunAction(rule, fire_day, &outcome->suppressed);
+  // A failed firing is rescheduled like a clean one: left in RULE-TIME at
+  // its old day, the rule would re-fire that day at every probe and miss
+  // the days after it.  A rule whose next firing cannot be computed is
+  // unscheduled.
+  Result<std::optional<TimePoint>> next = NextFire(&rule, fire_day);
+  Status st = UpdateRuleTime(id, next.ok() ? *next : std::nullopt);
+  outcome->duration_ns = obs::NowNs() - start_ns;
+  CALDB_RETURN_IF_ERROR(next.status());
+  CALDB_RETURN_IF_ERROR(st);
+  return *next;
+}
+
+Status TemporalRuleManager::RunAction(const TemporalRule& rule,
+                                      TimePoint fire_day, bool* suppressed) {
   // The firing day, bound to $1 of any rule statement that declares it.
   // Binding (not text splicing) keeps one compiled shape per rule across
   // every firing — and the same bind list replays from the WAL.
@@ -328,36 +334,30 @@ Result<std::optional<TimePoint>> TemporalRuleManager::FireRule(
     // The pre-compiled condition (DeclareRule): firings never parse.
     Result<QueryResult> cond = run(*rule.compiled_condition);
     if (!cond.ok()) {
-      return finish(cond.status().WithContext("temporal rule " + rule.name +
-                                            " condition"));
+      return cond.status().WithContext("temporal rule " + rule.name +
+                                       " condition");
     }
     condition_holds = !cond->rows.empty();
   }
-  if (condition_holds) {
-    ++fire_stats_.fired;
-    if (rule.action.callback) {
-      Status st = rule.action.callback(fire_day);
-      if (!st.ok()) {
-        return finish(st.WithContext("temporal rule " + rule.name));
-      }
-    }
-    if (rule.compiled_command != nullptr) {
-      Result<QueryResult> r = run(*rule.compiled_command);
-      if (!r.ok()) {
-        return finish(r.status().WithContext("temporal rule " + rule.name +
-                                           " action"));
-      }
-    }
-  } else {
+  if (!condition_holds) {
     ++fire_stats_.suppressed_by_condition;
-    if (outcome != nullptr) outcome->suppressed = true;
+    *suppressed = true;
+    return Status::OK();
   }
-  Result<std::optional<TimePoint>> next = NextFire(&rule, fire_day);
-  if (!next.ok()) return finish(next.status());
-  Status st = UpdateRuleTime(id, *next);
-  if (!st.ok()) return finish(st);
-  finish(Status::OK());
-  return *next;
+  ++fire_stats_.fired;
+  if (rule.action.callback) {
+    // User code: a throw fails this firing alone, like an error return.
+    Status st = GuardedCall("temporal rule callback",
+                            [&] { return rule.action.callback(fire_day); });
+    if (!st.ok()) return st.WithContext("temporal rule " + rule.name);
+  }
+  if (rule.compiled_command != nullptr) {
+    Result<QueryResult> r = run(*rule.compiled_command);
+    if (!r.ok()) {
+      return r.status().WithContext("temporal rule " + rule.name + " action");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace caldb

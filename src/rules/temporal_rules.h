@@ -129,16 +129,18 @@ class TemporalRuleManager {
   struct FireOutcome {
     std::string rule_name;
     bool suppressed = false;  // condition evaluated false; action skipped
-    Status status;            // condition/action/reschedule error, if any
+    Status status;            // condition/callback/action error, if any
     int64_t duration_ns = 0;  // condition + action + reschedule time
   };
 
   /// Executes the rule's action at `fire_day`, recomputes its next firing
   /// and updates RULE-TIME.  Returns the new next-fire day (nullopt when
-  /// the rule went dormant past the horizon).  `outcome`, when non-null,
-  /// is filled on every path (including errors).
+  /// the rule went dormant past the horizon).  A failing condition,
+  /// callback or action does not stop the reschedule: its error goes to
+  /// `outcome->status`.  The result fails only for an unknown rule or a
+  /// failed reschedule (the rule is then unscheduled).
   Result<std::optional<TimePoint>> FireRule(int64_t id, TimePoint fire_day,
-                                            FireOutcome* outcome = nullptr);
+                                            FireOutcome* outcome);
 
   const CalendarCatalog& catalog() const { return *catalog_; }
   TimePoint horizon_day() const { return horizon_day_; }
@@ -153,6 +155,9 @@ class TemporalRuleManager {
   Result<std::optional<TimePoint>> NextFire(TemporalRule* rule,
                                             TimePoint after);
   Status UpdateRuleTime(int64_t id, std::optional<TimePoint> next_fire);
+  // Runs the condition and, when it holds, the callback and the command.
+  Status RunAction(const TemporalRule& rule, TimePoint fire_day,
+                   bool* suppressed);
 
   const CalendarCatalog* catalog_;
   Database* db_;

@@ -231,6 +231,125 @@ TEST(EngineConcurrencyTest, CatalogDefinesRaceEvaluations) {
   }
 }
 
+// The catalog's one calendar-value cache under contention: sessions
+// evaluate overlapping windows of shared derived calendars (hitting each
+// other's derived values and slicing each other's base generations) while
+// DBCRON computes next firings through the same cache and a thread keeps
+// redefining the values calendar one derived calendar is built from.
+// Every stable result must equal a cold single-threaded evaluation, and
+// the redefined calendar must only ever show one of its definitions.
+TEST(EngineConcurrencyTest, SharedCalendarCacheUnderRedefinitionAndCron) {
+  const std::vector<std::pair<std::string, std::string>> calendars = {
+      {"TUESDAYS", "[2]/DAYS:during:WEEKS"},
+      {"MONTH_ENDS", "[n]/DAYS:during:MONTHS"},
+      {"FIRST_MONDAYS",
+       "{M = [1]/DAYS:during:WEEKS; return ([1]/M:overlaps:MONTHS);}"},
+  };
+  constexpr int kWindows = 8;
+  auto window = [](int i) {
+    return Interval{1 + 40 * i, 400 + 40 * i};  // overlapping
+  };
+  // The reference: each calendar over each window on a fresh engine.
+  std::vector<std::string> expected;
+  {
+    auto reference = Engine::Create().value();
+    auto session = reference->CreateSession();
+    for (const auto& [name, script] : calendars) {
+      ASSERT_TRUE(session->DefineCalendar(name, script).ok());
+    }
+    for (const auto& [name, script] : calendars) {
+      for (int i = 0; i < kWindows; ++i) {
+        session->SetWindow(window(i));
+        auto value = session->EvalCalendar(name);
+        ASSERT_TRUE(value.ok()) << value.status().ToString();
+        expected.push_back(value->ToString());
+      }
+    }
+  }
+
+  auto engine = Engine::Create().value();
+  auto setup = engine->CreateSession();
+  for (const auto& [name, script] : calendars) {
+    ASSERT_TRUE(setup->DefineCalendar(name, script).ok());
+  }
+  ASSERT_TRUE(engine->catalog()
+                  .DefineValues("E", Calendar::Order1(Granularity::kDays,
+                                                      {{1, 1}}))
+                  .ok());
+  ASSERT_TRUE(setup->DefineCalendar("D", "E").ok());
+  ASSERT_TRUE(setup->Execute("create table fires (day int)").ok());
+  ASSERT_TRUE(setup
+                  ->Execute("declare rule tue on TUESDAYS do "
+                            "append fires (day = fire_day())")
+                  .ok());
+
+  std::atomic<bool> failed{false};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  constexpr int kEvaluators = 4;
+  for (int e = 0; e < kEvaluators; ++e) {
+    threads.emplace_back([&, e] {
+      auto session = engine->CreateSession();
+      for (int round = 0; round < 20; ++round) {
+        for (size_t c = 0; c < calendars.size(); ++c) {
+          for (int k = 0; k < kWindows; ++k) {
+            const int i = (k + e + round) % kWindows;
+            session->SetWindow(window(i));
+            auto value = session->EvalCalendar(calendars[c].first);
+            if (!value.ok() ||
+                value->ToString() != expected[c * kWindows + i]) {
+              failed.store(true);
+              ADD_FAILURE() << calendars[c].first << " window " << i << ": "
+                            << (value.ok() ? value->ToString()
+                                           : value.status().ToString());
+            }
+            // Errors are fine while E is briefly dropped; stale or torn
+            // content is not.  window(0) holds every point E is given.
+            session->SetWindow(window(0));
+            auto d = session->EvalCalendar("D");
+            if (d.ok() && d->TotalIntervals() != 1) {
+              failed.store(true);
+              ADD_FAILURE() << "D: " << d->ToString();
+            }
+          }
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (TimePoint day = 10; day <= 300; day += 10) {
+      if (!engine->AdvanceTo(day).ok()) failed.store(true);
+    }
+  });
+  constexpr int kRedefinitions = 100;
+  threads.emplace_back([&] {
+    for (int day = 2; day <= kRedefinitions; ++day) {
+      if (!engine->catalog().Drop("E").ok() ||
+          !engine->catalog()
+               .DefineValues("E", Calendar::Order1(Granularity::kDays,
+                                                   {{day, day}}))
+               .ok()) {
+        failed.store(true);
+      }
+    }
+    done.store(true);
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_TRUE(done.load());
+  EXPECT_FALSE(failed.load());
+
+  auto d = setup->EvalCalendar("D");
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d->ToString(), "{(" + std::to_string(kRedefinitions) + "," +
+                               std::to_string(kRedefinitions) + ")}");
+  // One firing per Tuesday in days 2..300, every one recorded.
+  auto fires = MustOk(setup->Execute("retrieve (f.day) from f in fires"));
+  EXPECT_EQ(RowCount(fires), static_cast<int64_t>(engine->CronStats().fires));
+  EXPECT_EQ(RowCount(fires), 43);
+  EXPECT_LE(engine->catalog().cache().entries(), CalendarCache::kMaxEntries);
+  EXPECT_TRUE(engine->Stop().ok());
+}
+
 // The pool path: a read-mostly workload issued via ExecuteAsync from many
 // client threads at once, racing a writer.  Checks the futures all
 // resolve and the final state is exact.

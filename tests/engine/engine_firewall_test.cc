@@ -144,8 +144,49 @@ TEST_P(EngineFirewallTest, ThrowingTemporalCallbackFailsTheAdvance) {
   auto rows = session->Execute("retrieve (t.x) from t in t");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->rows.size(), 1u);
-  // Stop reports the daemon's first firing error, like AdvanceTo.
+  // Stop reports the error of the daemon's last advance, which fired the
+  // rule too.
   EXPECT_EQ(engine->Stop().code(), StatusCode::kInternal);
+}
+
+// A failed firing neither stops DBCRON nor sticks to the engine: the rule
+// is rescheduled and fires on every later day, the clock reaches the
+// target, the error is audited and returned by that advance only.
+TEST_P(EngineFirewallTest, FailingTemporalCallbackIsRescheduled) {
+  const Case c = GetCase();
+  int calls = 0;
+  bool failing = true;
+  auto engine = Engine::Create().value();
+  TemporalAction action;
+  action.callback = [&, thrower = c.thrower](TimePoint) -> Status {
+    ++calls;
+    if (!failing) return Status::OK();
+    // Half the days throw, the other half return an error.
+    if (calls % 2 == 0) thrower();
+    return Status::EvalError("daily failure");
+  };
+  obs::Audit().Clear();
+  ASSERT_TRUE(engine->DeclareRule("daily", "DAYS", std::move(action)).ok());
+
+  Status advanced = engine->AdvanceTo(30);
+  EXPECT_FALSE(advanced.ok());
+  EXPECT_EQ(calls, 29);  // days 2..30
+  EXPECT_EQ(engine->Now(), 30);
+  int errors = 0;
+  for (const obs::AuditRecord& record : obs::Audit().Snapshot()) {
+    if (record.rule == "daily" &&
+        record.outcome == obs::AuditRecord::Outcome::kError) {
+      ++errors;
+    }
+  }
+  EXPECT_EQ(errors, 29);
+
+  failing = false;
+  Status clean = engine->AdvanceTo(40);
+  EXPECT_TRUE(clean.ok()) << clean.ToString();
+  EXPECT_EQ(calls, 39);
+  EXPECT_EQ(engine->Now(), 40);
+  EXPECT_TRUE(engine->Stop().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Throws, EngineFirewallTest, ::testing::Values(0, 1),

@@ -1,14 +1,13 @@
-// Regression tests for cached calendar content surviving a redefinition
-// (PR 10).
+// Regression tests for cached calendar content served where it no longer
+// holds.
 //
-// Two caches can hold evaluated calendar content: the CalendarCatalog's
-// eval-cache (shared, keyed by name/window) and each Session evaluator's
-// gen-cache (private, keyed by granularity/window).  Both now carry the
-// catalog's monotonic definition version — CalendarCatalog::version() —
-// in their keys/validity checks, so content computed against an old
-// definition can never be served after a DefineDerived / DefineValues /
-// Drop, even when the redefinition races an in-flight evaluation in
-// another session.
+// The CalendarCatalog's one calendar-value cache (lang/evaluator.h,
+// CalendarCache) keys derived values by the catalog's monotonic
+// definition version — CalendarCatalog::version() — so content computed
+// against an old definition is never served after a DefineDerived /
+// DefineValues / Drop, even when the redefinition races an in-flight
+// evaluation in another session.  Values that read `today` are never
+// cached, since `today` is not part of the key.
 
 #include "caldb.h"
 
@@ -54,10 +53,9 @@ TEST(StaleCacheTest, RedefinitionIsVisibleAcrossSessions) {
   (void)writer;
 }
 
-// The racing variant: before the version key, an evaluation in flight when
-// the redefinition cleared the catalog's eval-cache could insert its
-// (stale) result *after* the clear, and every later caller would hit it.
-// The version captured before Resolve files such an insert under the old
+// The racing variant: an evaluation in flight during the redefinition
+// must not leave its (stale) result where later callers hit it.  The
+// version captured before Resolve files such an insert under the old
 // version, unreachable by post-redefinition lookups.
 TEST(StaleCacheTest, RacingRedefinitionNeverServesStaleContent) {
   auto engine = Engine::Create().value();
@@ -101,12 +99,11 @@ TEST(StaleCacheTest, RacingRedefinitionNeverServesStaleContent) {
                 ")}");
 }
 
-// The session-evaluator side: a Session's private gen-cache persists
-// across EvalScript calls, and before PR 10 nothing invalidated it when
-// the catalog changed underneath.  The stamped catalog_version now clears
-// it on mismatch — visible as generate_calls going 0 (warm) -> nonzero
-// (after a definition bumps the version).
-TEST(StaleCacheTest, SessionGenCacheInvalidatesOnCatalogVersionBump) {
+// Base generations do not depend on the catalog, so a definition leaves
+// them warm: the shared cache keys only derived values by version.  A
+// session's second run of a script generates nothing, and neither does a
+// run after an unrelated define.
+TEST(StaleCacheTest, WarmBaseGenerationSurvivesUnrelatedDefine) {
   auto engine = Engine::Create().value();
   auto session = engine->CreateSession();
   const std::string script = "[n]/DAYS:during:MONTHS";
@@ -120,12 +117,48 @@ TEST(StaleCacheTest, SessionGenCacheInvalidatesOnCatalogVersionBump) {
   EXPECT_EQ(session->last_eval_stats().generate_calls, 0);
   EXPECT_GT(session->last_eval_stats().cache_hits, 0);
 
-  // Any definition bumps CalendarCatalog::version(); the next run on this
-  // session sees the new version in its EvalOptions and drops the cache.
   ASSERT_TRUE(session->DefineCalendar("bump", "DAYS:during:days{(1,5)}").ok());
-  auto after_bump = session->EvalScript(script);
-  ASSERT_TRUE(after_bump.ok());
-  EXPECT_GT(session->last_eval_stats().generate_calls, 0);
+  auto after_define = session->EvalScript(script);
+  ASSERT_TRUE(after_define.ok());
+  EXPECT_EQ(session->last_eval_stats().generate_calls, 0);
+  EXPECT_EQ(after_define->calendar, cold->calendar);
+}
+
+// A derived calendar that reads `today` depends on more than its name,
+// window and catalog version, so its value must not be served from the
+// cache to an evaluation with another `today`.
+constexpr char kThisWeek[] = "{W = WEEKS:intersects:today; return (W);}";
+
+TEST(StaleCacheTest, TodayReadingCalendarFollowsSessionToday) {
+  auto engine = Engine::Create().value();
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session->DefineCalendar("THIS_WEEK", kThisWeek).ok());
+
+  session->SetToday(10);
+  auto early = session->EvalCalendar("THIS_WEEK");
+  ASSERT_TRUE(early.ok()) << early.status().ToString();
+  session->SetToday(200);
+  auto late = session->EvalCalendar("THIS_WEEK");
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  EXPECT_EQ(early->ToString(), "{(2,2)}");
+  EXPECT_EQ(late->ToString(), "{(30,30)}");
+}
+
+// The same through cal_contains: with a lifespan, every probe evaluates
+// the calendar over the same window, whatever the probed day.
+TEST(StaleCacheTest, CalContainsFollowsTheProbedDay) {
+  auto engine = Engine::Create().value();
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(
+      session->DefineCalendar("THIS_WEEK", kThisWeek, Interval{1, 365}).ok());
+  ASSERT_TRUE(session->Execute("create table d (day int)").ok());
+  ASSERT_TRUE(session->Execute("append d (day = 10)").ok());
+  ASSERT_TRUE(session->Execute("append d (day = 200)").ok());
+  // Days 10 and 200 fall in different weeks; each is in its own week.
+  auto rows = session->Execute(
+      "retrieve (x.day) from x in d where cal_contains('THIS_WEEK', x.day)");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), 2u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// The evaluator's bounded generated-calendar cache: LRU order, entry and
-// byte budgets, covering-window lookup, and the eviction counter.
+// The bounded calendar-value cache: LRU order across both key kinds,
+// entry and byte budgets, covering-window lookup of base generations,
+// exact-only lookup of derived values, and the eviction counter.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,15 @@
 namespace caldb {
 namespace {
 
-GenCache::Key K(int g, int unit, TimePoint lo, TimePoint hi) {
-  return GenCache::Key(g, unit, lo, hi);
+constexpr Granularity kD = Granularity::kDays;
+constexpr Granularity kW = Granularity::kWeeks;
+
+CalendarCache::Key Base(Granularity g, Granularity unit, Interval window) {
+  return CalendarCache::Key::Base(g, unit, window);
+}
+CalendarCache::Key Derived(const char* name, uint64_t version,
+                           Interval window) {
+  return CalendarCache::Key::Derived(name, version, window);
 }
 
 Calendar DaysCalendar(int64_t n) {
@@ -21,96 +29,106 @@ Calendar DaysCalendar(int64_t n) {
   return Calendar::Order1(Granularity::kDays, std::move(v));
 }
 
-TEST(GenCacheTest, FindExactAndMiss) {
-  GenCache cache;
-  cache.SetBudget(8, 1u << 20);
-  cache.Insert(K(1, 1, 1, 100), DaysCalendar(100));
-  ASSERT_NE(cache.Find(K(1, 1, 1, 100)), nullptr);
-  EXPECT_EQ(cache.Find(K(1, 1, 1, 100))->TotalIntervals(), 100);
-  EXPECT_EQ(cache.Find(K(1, 1, 1, 99)), nullptr);
-  EXPECT_EQ(cache.Find(K(1, 2, 1, 100)), nullptr);
+bool HasBase(CalendarCache& cache, TimePoint lo, TimePoint hi) {
+  auto hit = cache.FindBase(Base(kD, kD, Interval{lo, hi}));
+  return hit.has_value() && !hit->covering;
 }
 
-TEST(GenCacheTest, FindCoveringMatchesUnitAndWindow) {
-  GenCache cache;
-  cache.SetBudget(8, 1u << 20);
-  cache.Insert(K(1, 1, 1, 100), DaysCalendar(100));
+bool HasDerived(CalendarCache& cache, const char* name, uint64_t version,
+                Interval window) {
+  return cache.FindDerived(Derived(name, version, window)).has_value();
+}
+
+TEST(CalendarCacheTest, FindExactAndMiss) {
+  CalendarCache cache(8, 1u << 20);
+  cache.Insert(Base(kD, kD, {1, 100}), DaysCalendar(100));
+  auto hit = cache.FindBase(Base(kD, kD, {1, 100}));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_FALSE(hit->covering);
+  EXPECT_EQ(hit->value.TotalIntervals(), 100);
+  EXPECT_FALSE(cache.FindBase(Base(kD, kD, {1, 101})).has_value());
+  EXPECT_FALSE(cache.FindBase(Base(kD, kW, {1, 100})).has_value());
+  EXPECT_FALSE(cache.FindBase(Base(kW, kD, {1, 100})).has_value());
+}
+
+TEST(CalendarCacheTest, FindCoveringMatchesUnitAndWindow) {
+  CalendarCache cache(8, 1u << 20);
+  cache.Insert(Base(kD, kD, {1, 100}), DaysCalendar(100));
   // Narrower request in the same unit: covered.
-  EXPECT_NE(cache.FindCovering(K(1, 1, 10, 50)), nullptr);
+  auto covered = cache.FindBase(Base(kD, kD, {10, 50}));
+  ASSERT_TRUE(covered.has_value());
+  EXPECT_TRUE(covered->covering);
+  EXPECT_EQ(covered->value.TotalIntervals(), 100);  // the caller slices
   // Wider request: not covered.
-  EXPECT_EQ(cache.FindCovering(K(1, 1, 10, 200)), nullptr);
+  EXPECT_FALSE(cache.FindBase(Base(kD, kD, {10, 200})).has_value());
   // Different unit: never covered.
-  EXPECT_EQ(cache.FindCovering(K(1, 2, 10, 50)), nullptr);
+  EXPECT_FALSE(cache.FindBase(Base(kD, kW, {10, 50})).has_value());
 }
 
-TEST(GenCacheTest, EntryBudgetEvictsLeastRecentlyUsed) {
-  GenCache cache;
-  cache.SetBudget(2, 1u << 20);
+TEST(CalendarCacheTest, DerivedValuesMatchExactlyOnNameVersionAndWindow) {
+  CalendarCache cache(8, 1u << 20);
+  cache.Insert(Derived("Tuesdays", 3, {1, 100}), DaysCalendar(14));
+  auto hit = cache.FindDerived(Derived("Tuesdays", 3, {1, 100}));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->TotalIntervals(), 14);
+  EXPECT_FALSE(HasDerived(cache, "Tuesdays", 4, {1, 100}));
+  EXPECT_FALSE(HasDerived(cache, "Tuesdays", 3, {10, 50}));
+  EXPECT_FALSE(HasDerived(cache, "Fridays", 3, {1, 100}));
+  // A derived value never answers a base lookup, covering or not.
+  EXPECT_FALSE(cache.FindBase(Base(kD, kD, {10, 50})).has_value());
+}
+
+TEST(CalendarCacheTest, EntryBudgetEvictsLeastRecentlyUsed) {
+  CalendarCache cache(2, 1u << 20);
   obs::Counter* evictions =
       obs::Metrics().counter("caldb.eval.gen_cache.evictions");
   const int64_t before = evictions->value();
 
-  cache.Insert(K(1, 1, 1, 10), DaysCalendar(10));
-  cache.Insert(K(1, 1, 1, 20), DaysCalendar(20));
+  cache.Insert(Base(kD, kD, {1, 10}), DaysCalendar(10));
+  cache.Insert(Derived("D", 1, {1, 20}), DaysCalendar(20));
   // Touch the older entry so the newer one becomes the LRU victim.
-  ASSERT_NE(cache.Find(K(1, 1, 1, 10)), nullptr);
-  cache.Insert(K(1, 1, 1, 30), DaysCalendar(30));
+  ASSERT_TRUE(HasBase(cache, 1, 10));
+  cache.Insert(Base(kD, kD, {1, 30}), DaysCalendar(30));
 
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(evictions->value(), before + 1);
-  EXPECT_NE(cache.Find(K(1, 1, 1, 10)), nullptr);  // survived (touched)
-  EXPECT_EQ(cache.Find(K(1, 1, 1, 20)), nullptr);  // evicted
-  EXPECT_NE(cache.Find(K(1, 1, 1, 30)), nullptr);
+  EXPECT_TRUE(HasBase(cache, 1, 10));  // survived (touched)
+  EXPECT_FALSE(HasDerived(cache, "D", 1, {1, 20}));  // evicted
+  EXPECT_TRUE(HasBase(cache, 1, 30));
 }
 
-TEST(GenCacheTest, ByteBudgetBoundsPayload) {
-  GenCache cache;
+TEST(CalendarCacheTest, ByteBudgetBoundsPayload) {
   // Room for roughly one 1000-interval calendar, not two.
   const size_t one_entry = 1000 * sizeof(Interval) + 512;
-  cache.SetBudget(64, one_entry);
-  cache.Insert(K(1, 1, 1, 1000), DaysCalendar(1000));
+  CalendarCache cache(64, one_entry);
+  cache.Insert(Base(kD, kD, {1, 1000}), DaysCalendar(1000));
   EXPECT_EQ(cache.entries(), 1u);
-  cache.Insert(K(1, 1, 1001, 2000), DaysCalendar(1000));
+  cache.Insert(Base(kD, kD, {1001, 2000}), DaysCalendar(1000));
   // The older entry was evicted to make room; bytes stay under budget.
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_LE(cache.bytes(), one_entry);
-  EXPECT_EQ(cache.Find(K(1, 1, 1, 1000)), nullptr);
-  EXPECT_NE(cache.Find(K(1, 1, 1001, 2000)), nullptr);
+  EXPECT_FALSE(HasBase(cache, 1, 1000));
+  EXPECT_TRUE(HasBase(cache, 1001, 2000));
 }
 
-TEST(GenCacheTest, InsertReplacesExistingKey) {
-  GenCache cache;
-  cache.SetBudget(4, 1u << 20);
-  cache.Insert(K(1, 1, 1, 10), DaysCalendar(10));
-  cache.Insert(K(1, 1, 1, 10), DaysCalendar(5));
+TEST(CalendarCacheTest, InsertReplacesExistingKey) {
+  CalendarCache cache(4, 1u << 20);
+  cache.Insert(Base(kD, kD, {1, 10}), DaysCalendar(10));
+  cache.Insert(Base(kD, kD, {1, 10}), DaysCalendar(5));
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(cache.Find(K(1, 1, 1, 10))->TotalIntervals(), 5);
+  EXPECT_EQ(cache.FindBase(Base(kD, kD, {1, 10}))->value.TotalIntervals(), 5);
 }
 
-TEST(GenCacheTest, HitsShareTheRep) {
-  GenCache cache;
-  cache.SetBudget(4, 1u << 20);
+TEST(CalendarCacheTest, HitsShareTheRep) {
+  CalendarCache cache(4, 1u << 20);
   Calendar original = DaysCalendar(100);
   const Interval* buffer = original.intervals().data();
-  cache.Insert(K(1, 1, 1, 100), std::move(original));
-  const Calendar* hit = cache.Find(K(1, 1, 1, 100));
-  ASSERT_NE(hit, nullptr);
-  // The cached value still wraps the same leaf buffer: a hit is a handle
-  // copy, not an interval copy.
-  EXPECT_EQ(hit->intervals().data(), buffer);
-  Calendar out = *hit;
-  EXPECT_EQ(out.intervals().data(), buffer);
-}
-
-TEST(GenCacheTest, ShrinkingBudgetEvictsImmediately) {
-  GenCache cache;
-  cache.SetBudget(8, 1u << 20);
-  for (int i = 0; i < 6; ++i) {
-    cache.Insert(K(1, 1, 100 * i + 1, 100 * (i + 1)), DaysCalendar(10));
-  }
-  EXPECT_EQ(cache.entries(), 6u);
-  cache.SetBudget(3, 1u << 20);
-  EXPECT_EQ(cache.entries(), 3u);
+  cache.Insert(Base(kD, kD, {1, 100}), std::move(original));
+  auto hit = cache.FindBase(Base(kD, kD, {1, 100}));
+  ASSERT_TRUE(hit.has_value());
+  // The handle copied out still wraps the same leaf buffer: a hit is a
+  // handle copy, not an interval copy.
+  EXPECT_EQ(hit->value.intervals().data(), buffer);
 }
 
 }  // namespace

@@ -65,14 +65,18 @@ if [[ "$run_tsan" == 1 ]]; then
   # TSan pass over the concurrent engine: N writer + M reader sessions
   # racing DBCRON, plus the per-table lock stress tests (readers on one
   # table progressing under a writer hammering another —
-  # tests/engine/engine_concurrency_test.cc).  TSan cannot combine with
+  # tests/engine/engine_concurrency_test.cc), and sessions sharing the
+  # catalog's calendar-value cache across racing redefinitions
+  # (tests/engine/engine_stale_cache_test.cc).  TSan cannot combine with
   # ASan, so it gets its own tree; any data race in the
   # Engine/LockManager/Session/ThreadPool/catalog locking shows up here
   # as a hard failure.
   tsan_dir="$repo_root/build-tsan"
   cmake -B "$tsan_dir" -S "$repo_root" -DCALDB_SANITIZE=thread
-  cmake --build "$tsan_dir" -j "$(nproc)" --target engine_concurrency_test
+  cmake --build "$tsan_dir" -j "$(nproc)" \
+        --target engine_concurrency_test engine_stale_cache_test
   TSAN_OPTIONS="halt_on_error=1" \
-      ctest --test-dir "$tsan_dir" -R '^engine_concurrency_test$' \
+      ctest --test-dir "$tsan_dir" \
+            -R '^(engine_concurrency_test|engine_stale_cache_test)$' \
             --output-on-failure
 fi
