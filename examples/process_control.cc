@@ -1,7 +1,7 @@
 // Process control (§1 names "manufacturing and process control" among the
 // motivating applications): an Engine configured at HOURS granularity
-// drives a plant's inspection and shift schedule from DBCRON's background
-// thread, with a database condition gating an alert.  Built on the public
+// drives a plant's inspection and shift schedule through DBCRON, with a
+// database condition gating an alert.  Built on the public
 // facade (caldb.h) only.
 
 #include <cstdio>

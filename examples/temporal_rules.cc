@@ -1,6 +1,6 @@
 // Temporal rules end to end (§4, Figure 4): declare rules on calendar
-// expressions, then let DBCRON — running on the Engine's background
-// thread — play a simulated quarter of virtual time.  Built on the public
+// expressions, then let DBCRON play a simulated quarter of virtual time
+// (Engine::AdvanceTo, on the calling thread).  Built on the public
 // facade (caldb.h) only.
 
 #include <cstdio>

@@ -386,31 +386,11 @@ Result<std::string> CalendarCatalog::ExplainScript(
 
 namespace {
 
-// Earliest `unit` point > after covered by `cal` (granularity-converted),
-// or nullopt.
-Result<std::optional<TimePoint>> FirstPointAfter(const TimeSystem& ts,
-                                                 const Calendar& cal,
-                                                 TimePoint after,
-                                                 Granularity unit) {
-  // The min over all leaves is order-independent, so walk the shared flat
-  // buffer directly (zero-copy) instead of materializing a flatten.
-  std::optional<TimePoint> best;
-  for (const Interval& i : cal.Leaves()) {
-    CALDB_ASSIGN_OR_RETURN(Interval points,
-                           IntervalToUnit(ts, cal.granularity(), i, unit));
-    if (points.hi <= after) continue;
-    TimePoint candidate = points.lo > after ? points.lo : PointAdd(after, 1);
-    if (!best.has_value() || candidate < *best) best = candidate;
-  }
-  return best;
-}
-
 // Refills `cursor` with `value` (the plan's result over `window`): its
 // leaves in `unit` points, sorted and with overlapping ones merged.  Each
 // run is then contiguous and runs are disjoint with increasing bounds, so
 // the first run ending after a point holds the earliest covered point
-// after it — the same point FirstPointAfter finds over the raw leaves.
-// A non-calendar value covers no point.
+// after it.  A non-calendar value covers no point.
 Status FillCursor(const TimeSystem& ts, const ScriptValue& value,
                   const Interval& window, Granularity unit, uint64_t version,
                   NextFireCursor* cursor) {
@@ -468,9 +448,11 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFireDay(
     opts.window_days = window;
     opts.today_day = PointAdd(after_day, 1);
     CALDB_ASSIGN_OR_RETURN(Calendar cal, EvaluateCalendar(name, opts));
-    CALDB_ASSIGN_OR_RETURN(
-        std::optional<TimePoint> hit,
-        FirstPointAfter(time_system_, cal, after_day, Granularity::kDays));
+    NextFireCursor runs;
+    CALDB_RETURN_IF_ERROR(FillCursor(time_system_,
+                                     ScriptValue::Of(std::move(cal)), window,
+                                     Granularity::kDays, version(), &runs));
+    std::optional<TimePoint> hit = runs.FirstPointAfter(after_day);
     if (hit.has_value() && *hit <= limit_day) return hit;
     if (end_year >= limit_year) return std::optional<TimePoint>(std::nullopt);
   }
@@ -509,15 +491,14 @@ Result<std::optional<TimePoint>> CalendarCatalog::NextFirePointForPlan(
       opts.today_day = after_days.lo;
       CALDB_ASSIGN_OR_RETURN(ScriptValue value, evaluator.Run(plan, opts));
       if (evaluations != nullptr) ++*evaluations;
-      if (cursor != nullptr && !evaluator.read_today()) {
-        CALDB_RETURN_IF_ERROR(FillCursor(time_system_, value, window, unit,
-                                         at_version, cursor));
-        hit = cursor->FirstPointAfter(after_point);
-      } else if (value.kind == ScriptValue::Kind::kCalendar) {
-        CALDB_ASSIGN_OR_RETURN(
-            hit,
-            FirstPointAfter(time_system_, value.calendar, after_point, unit));
-      }
+      // A run that read `today` depends on the after-point, so it is
+      // searched through a local cursor and never memoized.
+      NextFireCursor local;
+      NextFireCursor* runs =
+          cursor != nullptr && !evaluator.read_today() ? cursor : &local;
+      CALDB_RETURN_IF_ERROR(
+          FillCursor(time_system_, value, window, unit, at_version, runs));
+      hit = runs->FirstPointAfter(after_point);
     }
     if (hit.has_value() && *hit <= limit_point) return hit;
     if (end_year >= limit_year) return std::optional<TimePoint>(std::nullopt);

@@ -1,15 +1,13 @@
 // GuardedCall: the exception firewall of the no-throw contract
 // (common/result.h).
 //
-// Every public Engine, Session and PreparedStatement entry point — and the
-// DBCRON thread's advance, which runs user rule callbacks off any caller's
-// stack — runs its body through GuardedCall exactly once; each temporal
-// rule callback runs through it too, so a throw fails that firing alone
-// and DBCRON goes on with the others.  An exception
-// escaping the body (a defect below the facade, or a throwing user
-// callback) comes back as Status::Internal naming the entry point, so a
-// server worker or the daemon thread degrades into an error return instead
-// of std::terminate.  This is the only `catch` in src/
+// Every public Engine, Session and PreparedStatement entry point runs its
+// body through GuardedCall exactly once; so does each DBCRON chunk of an
+// advance, and each temporal rule callback, so a throw fails that firing
+// alone and DBCRON goes on with the others.  An exception escaping the
+// body (a defect below the facade, or a throwing user callback) comes
+// back as Status::Internal naming the entry point, so a server worker
+// degrades into an error return instead of std::terminate.  This is the only `catch` in src/
 // (tools/lint_firewall.sh enforces it).
 
 #ifndef CALDB_COMMON_GUARDED_CALL_H_

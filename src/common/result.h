@@ -12,7 +12,7 @@
 //    user-controlled input (e.g. ParseDouble in common/strings.h instead
 //    of std::stod, which raises out_of_range).
 //  - Every public Engine, Session and PreparedStatement entry point, and
-//    DBCRON's advance on its daemon thread, additionally runs its body
+//    each DBCRON chunk of an advance, additionally runs its body
 //    through GuardedCall (common/guarded_call.h), which converts any
 //    escaped exception — a defect, or a throwing C++ rule callback — into
 //    Status::Internal, so it degrades into an error return instead of

@@ -15,7 +15,7 @@
 //   - the measured parse cost, surfaced by benches and EXPLAIN tooling.
 //
 // Handles are deeply immutable (`shared_ptr<const ...>`): any number of
-// sessions, the DBCRON thread and recovery may execute one concurrently.
+// sessions, rule firings and recovery may execute one concurrently.
 // Pipeline: text → compile → cache → execute (see DESIGN.md §5).
 
 #ifndef CALDB_DB_COMPILED_STATEMENT_H_

@@ -97,9 +97,7 @@ Engine::Engine(EngineOptions opts)
     : opts_(opts),
       catalog_(TimeSystem{opts.epoch}),
       stmt_cache_(opts.stmt_cache_entries),
-      clock_(opts.start_day),
-      cron_target_(opts.start_day),
-      cron_reached_(opts.start_day) {}
+      clock_(opts.start_day) {}
 
 Result<std::unique_ptr<Engine>> Engine::Create(EngineOptions opts) {
   return GuardedCall("Create", [&]() -> Result<std::unique_ptr<Engine>> {
@@ -148,7 +146,6 @@ Status Engine::Init() {
                   {{"path", snapshot_path},
                    {"interval_ms", snapshot_interval_ms}});
   }
-  cron_thread_ = std::thread([this] { CronLoop(); });
   return Status::OK();
 }
 
@@ -314,17 +311,15 @@ Status Engine::Recover() {
     Metrics().recovery_torn_tails->Increment();
   }
 
-  // 5. Open the appender past everything replayed, and line the DBCRON
-  //    coordination up with the recovered clock (the thread starts later
-  //    in Init; overdue RULE-TIME entries fire on the next advance, late,
-  //    exactly once — the paper's catch-up contract).
+  // 5. Open the appender past everything replayed.  Overdue RULE-TIME
+  //    entries fire on the next advance, late, exactly once — the paper's
+  //    catch-up contract.
   storage::WalWriter::Options wal_opts;
   wal_opts.fsync = opts_.fsync_policy;
   wal_opts.batch_bytes = std::max<int64_t>(1, opts_.wal_batch_bytes);
   CALDB_ASSIGN_OR_RETURN(wal_,
                          storage::WalWriter::Open(WalPath(), wal_opts,
                                                   max_lsn + 1));
-  cron_target_ = cron_reached_ = clock_.NowDay();
 
   Metrics().recovery_ns->Record(obs::NowNs() - start_ns);
   obs::LogEvent(obs::LogLevel::kInfo, "storage.recovery",
@@ -637,18 +632,54 @@ Status Engine::AdvanceTo(TimePoint day) {
     return Status::InvalidArgument("cannot advance to point 0");
   }
   return GuardedCall("AdvanceTo", [&]() -> Status {
-    std::unique_lock<std::mutex> lock(cron_mu_);
-    if (cron_stop_) return Status::InvalidArgument("engine is stopped");
-    const TimePoint from = cron_reached_;
-    if (day > cron_target_) {
-      cron_target_ = day;
-      cron_cv_.notify_one();
+    // Read before queueing: a chunk another caller runs while this one
+    // waits counts as part of this call.
+    const TimePoint from = clock_.NowDay();
+    Status st;
+    {
+      std::lock_guard<std::mutex> lock(cron_mu_);
+      if (stopped()) return Status::InvalidArgument("engine is stopped");
+      // Advance in probe-period chunks so readers interleave with firings
+      // instead of stalling behind one long exclusive section.
+      for (TimePoint reached = clock_.NowDay(); reached < day;) {
+        const TimePoint chunk =
+            std::min(day, PointAdd(reached, cron_->probe_period_days()));
+        Status chunk_st;
+        {
+          // A child of the caller's open span, if any: cron.probe and
+          // cron.fire spans parent to it, so `\trace` shows one tree per
+          // advance.
+          obs::Tracer::Span span = obs::StartSpan("cron.advance");
+          span.AddAttr("to_day", std::to_string(chunk));
+          LockManager::Guard db_lock = AcquireWrite();
+          // Firings run user rule actions and callbacks: an escaping
+          // exception becomes this chunk's status, and the chunk is still
+          // logged and counted below.
+          chunk_st = GuardedCall("AdvanceTo",
+                                 [&] { return cron_->AdvanceTo(chunk); });
+          // Redo-log the advance whatever its status: firings before an
+          // error already applied, and replaying the advance reproduces
+          // them (and the error) deterministically.  The firings
+          // themselves are never logged — only the advance that triggers
+          // them.
+          storage::WalRecord record;
+          record.type = storage::WalRecordType::kAdvance;
+          record.day = chunk;
+          Status logged = LogDurable(std::move(record));
+          if (!logged.ok() && chunk_st.ok()) chunk_st = logged;
+        }
+        Metrics().cron_advances->Increment();
+        reached = chunk;
+        if (!chunk_st.ok()) {
+          cron_error_ = chunk_st;
+          cron_error_day_ = chunk;
+          // A stop requested mid-advance cuts a failing advance short.
+          if (stopped()) break;
+        }
+      }
+      // An error of a chunk that ran while this call waited or ran.
+      if (cron_error_day_ > from) st = cron_error_;
     }
-    cron_done_cv_.wait(lock,
-                       [&] { return cron_reached_ >= day || cron_stop_; });
-    // An error of a chunk that ran while this call waited.
-    Status st = cron_error_day_ > from ? cron_error_ : Status::OK();
-    lock.unlock();
     MaybeCheckpoint();
     return st;
   });
@@ -659,68 +690,10 @@ Status Engine::AdvanceToCivil(const CivilDate& date) {
 }
 
 DbCron::CronStats Engine::CronStats() const {
-  // Firings mutate the stats under the exclusive lock (CronLoop), so a
+  // Firings mutate the stats under the exclusive lock (AdvanceTo), so a
   // shared lock makes this snapshot race-free.
   LockManager::Guard lock = AcquireRead();
   return cron_->stats();
-}
-
-void Engine::CronLoop() {
-  for (;;) {
-    TimePoint target;
-    {
-      std::unique_lock<std::mutex> lock(cron_mu_);
-      cron_cv_.wait(lock,
-                    [&] { return cron_stop_ || cron_target_ > cron_reached_; });
-      if (cron_stop_ && cron_target_ <= cron_reached_) return;
-      target = cron_target_;
-    }
-    // Advance in probe-period chunks so readers interleave with firings
-    // instead of stalling behind one long exclusive section.
-    TimePoint reached;
-    {
-      std::unique_lock<std::mutex> lock(cron_mu_);
-      reached = cron_reached_;
-    }
-    while (reached < target) {
-      const TimePoint chunk =
-          std::min(target, PointAdd(reached, cron_->probe_period_days()));
-      Status st;
-      {
-        // The root of this advance's span tree: cron.probe and cron.fire
-        // spans started inside AdvanceTo parent to it, so `\trace` shows
-        // one tree per clock advance on the daemon thread.
-        obs::Tracer::Span span = obs::StartSpan("cron.advance");
-        span.AddAttr("to_day", std::to_string(chunk));
-        LockManager::Guard db_lock = AcquireWrite();
-        // Firings run user rule actions and callbacks on this daemon
-        // thread, off any caller's stack: an escaping exception must come
-        // back as this advance's status, not reach std::terminate.
-        st = GuardedCall("AdvanceTo", [&] { return cron_->AdvanceTo(chunk); });
-        // Redo-log the advance whatever its status: firings before an
-        // error already applied, and replaying the advance reproduces
-        // them (and the error) deterministically.  The firings themselves
-        // are never logged — only the advance that triggers them.
-        storage::WalRecord record;
-        record.type = storage::WalRecordType::kAdvance;
-        record.day = chunk;
-        Status logged = LogDurable(std::move(record));
-        if (!logged.ok() && st.ok()) st = logged;
-      }
-      Metrics().cron_advances->Increment();
-      reached = chunk;
-      std::unique_lock<std::mutex> lock(cron_mu_);
-      cron_reached_ = chunk;
-      if (!st.ok()) {
-        cron_error_ = st;
-        cron_error_day_ = chunk;
-      }
-      cron_done_cv_.notify_all();
-      // A concurrent AdvanceTo may have raised the target mid-advance.
-      target = cron_target_;
-      if (cron_stop_ && !st.ok()) break;
-    }
-  }
 }
 
 Status Engine::Stop() {
@@ -729,26 +702,16 @@ Status Engine::Stop() {
     if (!stopped_.compare_exchange_strong(expected, true)) {
       return Status::OK();
     }
+    Status st;
     {
-      std::unique_lock<std::mutex> lock(cron_mu_);
-      cron_stop_ = true;
-      cron_cv_.notify_all();
-      cron_done_cv_.notify_all();
-    }
-    if (cron_thread_.joinable()) cron_thread_.join();
-    {
-      // Waiters blocked in AdvanceTo must observe the stop.
-      std::unique_lock<std::mutex> lock(cron_mu_);
-      cron_done_cv_.notify_all();
+      // Waits for an in-flight advance; advances queued behind it see
+      // stopped_ and fail.  Whether the last chunk failed: no later chunk
+      // moved the clock past the failed one.
+      std::lock_guard<std::mutex> lock(cron_mu_);
+      if (cron_error_day_ >= clock_.NowDay()) st = cron_error_;
     }
     if (pool_ != nullptr) pool_->Shutdown();
     if (snapshotter_ != nullptr) snapshotter_->Stop();
-    Status st;
-    {
-      std::unique_lock<std::mutex> lock(cron_mu_);
-      // Whether the daemon's last chunk failed.
-      if (cron_error_day_ == cron_reached_) st = cron_error_;
-    }
     if (wal_ != nullptr) {
       if (opts_.checkpoint_on_stop) {
         Status cp = Checkpoint();

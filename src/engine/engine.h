@@ -17,10 +17,12 @@
 //  - The CALENDARS catalog carries its own internal locks (readers
 //    scale; DefineDerived/DefineValues/Drop are exclusive), so calendar
 //    evaluation never contends with table scans.
-//  - DBCRON runs on a background thread that sleeps on a condition
-//    variable until the virtual clock is advanced; rule firings happen
-//    under the exclusive database lock, serialized against conflicting
-//    writes.  Stop() drains the pending advance and joins.
+//  - DBCRON moves only when a caller advances the virtual clock, and it
+//    runs on that caller's thread: AdvanceTo plays time forward in
+//    probe-period chunks, each under the exclusive database lock, so rule
+//    firings interleave with (never run inside) concurrent statements.
+//    Concurrent advancers queue on one mutex.  Stop() waits for an
+//    in-flight advance.
 //  - A fixed-size ThreadPool backs ExecuteAsync/ExecuteBatch for
 //    parallel query execution.
 //
@@ -28,10 +30,11 @@
 // deprecated for servers: embed an Engine and use its accessors (the
 // parts remain public for single-threaded library use and tests).
 //
-// Lock ordering (to stay deadlock-free): the lock manager's intent
-// layer, then per-table mutexes in sorted-name order, then any catalog
-// internal mutex.  The catalog never calls into the database, so the
-// reverse edge cannot occur.
+// Lock ordering (to stay deadlock-free): the advance mutex (cron_mu_),
+// then the lock manager's intent layer, then per-table mutexes in
+// sorted-name order, then any catalog internal mutex.  Nothing takes
+// cron_mu_ while holding the lock manager, and the catalog never calls
+// into the database, so no reverse edge can occur.
 //
 // Observability: "caldb.engine.*" (docs/OBSERVABILITY.md) — active
 // session count, pool queue depth, per-mode lock wait histograms,
@@ -42,14 +45,12 @@
 #define CALDB_ENGINE_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "catalog/calendar_catalog.h"
@@ -124,8 +125,8 @@ struct EngineOptions {
 class Engine {
  public:
   /// Builds the catalog, database (with the calendar operators of §5
-  /// registered), temporal-rule manager and DBCRON, and starts the
-  /// background threads.
+  /// registered), temporal-rule manager and DBCRON, and starts the worker
+  /// pool (and the metrics snapshotter, when configured).
   static Result<std::unique_ptr<Engine>> Create(EngineOptions opts = {});
 
   /// Stops the engine (see Stop) and tears the parts down.
@@ -182,10 +183,12 @@ class Engine {
   TimePoint Now() const { return clock_.NowDay(); }
 
   /// Plays the virtual clock forward to `day`, firing due temporal rules
-  /// from the DBCRON thread.  Blocks until time has reached `day`; rules
-  /// fire under the exclusive database lock, interleaved with (not inside)
-  /// concurrent statements.  A failed firing does not stop the advance;
-  /// returns an error of a DBCRON chunk that ran during the call, if any.
+  /// on the calling thread.  Time moves in probe-period chunks, each under
+  /// the exclusive database lock, so rules fire interleaved with (not
+  /// inside) concurrent statements.  Concurrent calls queue; each returns
+  /// once time has reached its `day`.  A failed firing does not stop the
+  /// advance; returns an error of a chunk that ran while the call waited
+  /// or ran, if any.  Fails once the engine is stopped.
   Status AdvanceTo(TimePoint day);
   Status AdvanceToCivil(const CivilDate& date);
 
@@ -221,10 +224,10 @@ class Engine {
   /// a cold start).
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
-  /// Drains the DBCRON thread's pending advance and the pool, then joins
-  /// both.  Idempotent; called by the destructor.  After Stop, Execute
-  /// keeps working single-threaded but AdvanceTo / ExecuteAsync fail.
-  /// Returns the error of DBCRON's last chunk if it failed, and any
+  /// Waits for an in-flight advance, then drains and joins the pool.
+  /// Idempotent; called by the destructor.  After Stop, Execute keeps
+  /// working single-threaded but AdvanceTo / ExecuteAsync fail.  Returns
+  /// the error of DBCRON's last chunk if it failed, and any
   /// checkpoint/sync error.
   Status Stop();
 
@@ -264,7 +267,6 @@ class Engine {
   CalendarCatalog& catalog() { return catalog_; }
   const CalendarCatalog& catalog() const { return catalog_; }
   const EngineOptions& options() const { return opts_; }
-  ThreadPool& pool() { return *pool_; }
   bool stopped() const { return stopped_.load(std::memory_order_acquire); }
 
  private:
@@ -292,7 +294,6 @@ class Engine {
   /// statement cache after DDL, and runs a due auto-checkpoint.
   Result<QueryResult> ExecuteLocked(const CompiledStatement& compiled,
                                     const ParamList& params);
-  void CronLoop();
 
   // --- durability internals -------------------------------------------------
 
@@ -346,19 +347,13 @@ class Engine {
   std::shared_ptr<std::atomic<bool>> alive_ =
       std::make_shared<std::atomic<bool>>(true);
 
-  // DBCRON thread coordination.  cron_target_ only grows; cron_reached_
-  // trails it; both are guarded by cron_mu_.
-  std::thread cron_thread_;
-  mutable std::mutex cron_mu_;
-  std::condition_variable cron_cv_;       // wakes the DBCRON thread
-  std::condition_variable cron_done_cv_;  // wakes AdvanceTo waiters
-  TimePoint cron_target_ = 1;
-  TimePoint cron_reached_ = 1;
-  // The most recent failed chunk's status and the day it reached
-  // (0: none yet).
+  // Held across a whole AdvanceTo, so advances run one at a time; taken
+  // before (never while holding) the lock manager.
+  std::mutex cron_mu_;
+  // Guarded by cron_mu_: the most recent failed chunk's status and the
+  // day it advanced to (0: none yet).
   Status cron_error_;
   TimePoint cron_error_day_ = 0;
-  bool cron_stop_ = false;
 
   std::atomic<bool> stopped_{false};
   std::atomic<uint64_t> next_session_id_{1};

@@ -11,14 +11,14 @@
 // Spans are scope-bound (LIFO per thread), which RAII usage guarantees.
 //
 // Cross-thread propagation: a logical operation that hops threads (an
-// ExecuteAsync statement crossing the pool boundary, a DBCRON firing on
-// the daemon thread) stays one tree by capturing Tracer::CurrentContext()
-// on the submitting thread and installing it on the executing thread with
-// a ScopedTraceContext — which swaps the worker's thread-local span stack
-// for one seeded with the captured parent, and restores the original on
-// scope exit.  A default TraceContext{} isolates instead of propagating:
-// the thread pool wraps every task in one so a worker never parents spans
-// to whatever span happened to be open (or leaked) on that thread before.
+// ExecuteAsync statement crossing the pool boundary) stays one tree by
+// capturing Tracer::CurrentContext() on the submitting thread and
+// installing it on the executing thread with a ScopedTraceContext — which
+// swaps the worker's thread-local span stack for one seeded with the
+// captured parent, and restores the original on scope exit.  A default
+// TraceContext{} isolates instead of propagating: the thread pool wraps
+// every task in one so a worker never parents spans to whatever span
+// happened to be open (or leaked) on that thread before.
 
 #ifndef CALDB_OBS_TRACE_H_
 #define CALDB_OBS_TRACE_H_

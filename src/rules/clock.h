@@ -1,40 +1,29 @@
-// Clocks for the temporal-rule system.  Rule triggering semantics depend
+// The clock of the temporal-rule system.  Rule triggering semantics depend
 // on the order and granule of firings, not on wall-clock seconds, so the
 // reproduction drives DBCRON from a virtual clock whose points are
 // granules of the rule system's unit (DAYS by default, HOURS for
-// process-control rules); a system-backed day clock is provided for
-// completeness.
+// process-control rules).
 
 #ifndef CALDB_RULES_CLOCK_H_
 #define CALDB_RULES_CLOCK_H_
 
 #include <atomic>
-#include <chrono>
 
-#include "time/time_system.h"
 #include "time/timepoint.h"
 
 namespace caldb {
 
-class Clock {
- public:
-  virtual ~Clock() = default;
-  /// The current DAYS point.
-  virtual TimePoint NowDay() const = 0;
-};
-
 /// A manually advanced clock.  Time never goes backwards.
 ///
-/// `now_` is atomic so concurrent sessions can read the clock while the
-/// DBCRON thread advances it (caldb::Engine).  Advancing itself is
+/// `now_` is atomic so concurrent sessions can read the clock while an
+/// advancing caller moves it (caldb::Engine).  Advancing itself is
 /// single-writer: only DBCRON (or a single-threaded driver) moves time.
-class VirtualClock : public Clock {
+class VirtualClock {
  public:
   explicit VirtualClock(TimePoint start_day = 1) : now_(start_day) {}
 
-  TimePoint NowDay() const override {
-    return now_.load(std::memory_order_acquire);
-  }
+  /// The current point.
+  TimePoint NowDay() const { return now_.load(std::memory_order_acquire); }
 
   /// Moves to `day` (no-op when `day` is in the past).
   void AdvanceTo(TimePoint day) {
@@ -48,26 +37,6 @@ class VirtualClock : public Clock {
 
  private:
   std::atomic<TimePoint> now_;
-};
-
-/// Reads the OS clock and converts to a day point of `time_system`.
-class SystemClock : public Clock {
- public:
-  explicit SystemClock(const TimeSystem* time_system)
-      : time_system_(time_system) {}
-
-  TimePoint NowDay() const override {
-    auto now = std::chrono::system_clock::now();
-    int64_t days_since_epoch_1970 =
-        std::chrono::duration_cast<std::chrono::hours>(now.time_since_epoch())
-            .count() /
-        24;
-    CivilDate civil = CivilFromDays(days_since_epoch_1970);
-    return time_system_->DayPointFromCivil(civil);
-  }
-
- private:
-  const TimeSystem* time_system_;
 };
 
 }  // namespace caldb

@@ -14,7 +14,7 @@
 // Direct construction is deprecated for concurrent use: DbCron itself is
 // single-threaded, and running it next to live sessions needs the
 // serialization caldb::Engine provides (engine/engine.h) — the Engine
-// owns a DbCron, runs it on a background thread, and fires rules under
+// owns a DbCron, advances it one caller at a time, and fires rules under
 // the exclusive database lock.  Construct one directly only in
 // single-threaded library code and tests (Engine::AdvanceTo is the
 // server-side entry point).
@@ -32,7 +32,7 @@ namespace caldb {
 
 class DbCron {
  public:
-  /// `rules` and `clock` must outlive the daemon.  `probe_period_days` is
+  /// `rules` and `clock` must outlive the DbCron.  `probe_period_days` is
   /// the paper's T.
   DbCron(TemporalRuleManager* rules, VirtualClock* clock,
          int64_t probe_period_days = 7);
@@ -45,11 +45,6 @@ class DbCron {
   /// returned.
   Status AdvanceTo(TimePoint day);
 
-  /// Convenience: advance by `days`.
-  Status Advance(int64_t days) {
-    return AdvanceTo(PointAdd(clock_->NowDay(), days));
-  }
-
   int64_t probe_period_days() const { return probe_period_days_; }
 
   struct CronStats {
@@ -58,7 +53,6 @@ class DbCron {
     int64_t max_heap_size = 0;
   };
   const CronStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = CronStats{}; }
 
  private:
   // Probes RULE-TIME for rules due in [now, now + T) and loads them into

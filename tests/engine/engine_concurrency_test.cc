@@ -2,7 +2,7 @@
 //
 // These are the tests tools/check.sh runs under -DCALDB_SANITIZE=thread:
 // N writer + M reader sessions hammer tables and calendar definitions
-// while DBCRON advances the virtual clock on its background thread.  The
+// while other threads advance the virtual clock through DBCRON.  The
 // assertions are serializable-visible invariants — facts any legal
 // interleaving of exclusively-locked writes and shared-locked reads must
 // preserve — plus clean shutdown.
@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -693,6 +694,99 @@ TEST(EngineConcurrencyTest, CleanShutdownUnderLoad) {
     auto rows = session->Execute("retrieve (t.x) from t in t");
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(static_cast<int64_t>(rows->rows.size()), succeeded);
+  }
+}
+
+// Two advancers with interleaved targets queue on one another while a
+// third thread runs statements: every due firing happens exactly once,
+// and the clock ends at the largest target.
+TEST(EngineConcurrencyTest, InterleavedAdvancersFireEachDayOnce) {
+  auto engine = Engine::Create().value();
+  auto setup = engine->CreateSession();
+  ASSERT_TRUE(setup->Execute("create table fires (day int)").ok());
+  ASSERT_TRUE(setup->Execute("create table events (seq int)").ok());
+  const std::vector<std::string> rules = {"r1", "r2", "r3"};
+  for (const std::string& rule : rules) {
+    ASSERT_TRUE(setup
+                    ->Execute("declare rule " + rule +
+                              " on DAYS:during:WEEKS do "
+                              "append fires (day = fire_day())")
+                    .ok());
+  }
+  obs::Audit().Clear();
+
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (TimePoint first : {10, 15}) {
+    threads.emplace_back([&, first] {
+      for (TimePoint day = first; day <= 120; day += 10) {
+        if (!engine->AdvanceTo(day).ok()) failed.store(true);
+      }
+      if (!engine->AdvanceTo(120).ok()) failed.store(true);
+    });
+  }
+  threads.emplace_back([&] {
+    auto session = engine->CreateSession();
+    for (int i = 0; i < 200; ++i) {
+      if (!session->Execute("append events (seq = " + std::to_string(i) + ")")
+               .ok() ||
+          !session->Execute("retrieve (f.day) from f in fires").ok()) {
+        failed.store(true);
+      }
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(engine->Now(), 120);
+
+  std::map<std::pair<std::string, TimePoint>, int> records;
+  for (const obs::AuditRecord& r : obs::Audit().Snapshot()) {
+    ++records[{r.rule, r.scheduled_day}];
+  }
+  // Declared on day 1, each rule is due on days 2..120.
+  EXPECT_EQ(records.size(), rules.size() * 119);
+  for (const std::string& rule : rules) {
+    for (TimePoint day = 2; day <= 120; ++day) {
+      EXPECT_EQ((records[{rule, day}]), 1) << rule << " day " << day;
+    }
+  }
+  auto fires = MustOk(setup->Execute("retrieve (f.day) from f in fires"));
+  EXPECT_EQ(RowCount(fires), static_cast<int64_t>(rules.size() * 119));
+  EXPECT_TRUE(engine->Stop().ok());
+}
+
+// A long advance racing Stop: Stop either waits for the advance in flight
+// (the clock is at its target when Stop returns) or wins the race (the
+// advance fails as stopped and the clock never moved).  Nothing hangs.
+TEST(EngineConcurrencyTest, StopWaitsForAnInFlightAdvance) {
+  for (int round = 0; round < 4; ++round) {
+    auto engine = Engine::Create().value();
+    std::atomic<bool> fired{false};
+    TemporalAction action;
+    action.callback = [&](TimePoint) {
+      fired.store(true);
+      return Status::OK();
+    };
+    ASSERT_TRUE(engine->DeclareRule("daily", "DAYS", std::move(action)).ok());
+    Status advanced;
+    std::thread advancer([&] { advanced = engine->AdvanceTo(500); });
+    // Even rounds stop mid-advance, odd rounds race the advance's start.
+    if (round % 2 == 0) {
+      while (!fired.load()) std::this_thread::yield();
+    }
+    EXPECT_TRUE(engine->Stop().ok());
+    const TimePoint at_stop = engine->Now();
+    advancer.join();
+    if (advanced.ok()) {
+      EXPECT_EQ(at_stop, 500);
+    } else {
+      EXPECT_NE(round % 2, 0) << advanced.ToString();
+      EXPECT_NE(advanced.ToString().find("engine is stopped"),
+                std::string::npos)
+          << advanced.ToString();
+      EXPECT_EQ(at_stop, 1);
+    }
+    EXPECT_EQ(engine->Now(), at_stop);
   }
 }
 

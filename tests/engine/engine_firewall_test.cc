@@ -2,11 +2,12 @@
 // common/guarded_call.h).
 //
 // A C++ rule callback is user code running inside statement execution: an
-// event-rule callback on the calling thread, a temporal-rule callback on
-// the DBCRON thread.  Whatever it throws — a std::exception or anything
-// else — must come back from the public entry point as kInternal, and the
-// engine must keep serving statements afterwards: locks released, rule
-// cascade depth restored, the daemon thread alive.
+// event-rule callback inside a statement, a temporal-rule callback inside
+// a DBCRON firing of AdvanceTo — both on the calling thread.  Whatever it
+// throws — a std::exception or anything else — must come back from the
+// public entry point as kInternal, and the engine must keep serving
+// statements and advances afterwards: locks released, rule cascade depth
+// restored.
 
 #include "caldb.h"
 
@@ -123,8 +124,9 @@ TEST_P(EngineFirewallTest, RepeatedThrowsDoNotLeakRuleCascadeDepth) {
 }
 
 TEST_P(EngineFirewallTest, ThrowingTemporalCallbackFailsTheAdvance) {
-  // The callback runs on the DBCRON thread; without the firewall around
-  // the daemon's advance the throw reached std::terminate.
+  // The callback runs inside a DBCRON firing; without the firewalls
+  // around the callback and the advance's chunk the throw would unwind
+  // out of AdvanceTo.
   const Case c = GetCase();
   auto engine = Engine::Create().value();
   auto session = engine->CreateSession();
@@ -139,13 +141,13 @@ TEST_P(EngineFirewallTest, ThrowingTemporalCallbackFailsTheAdvance) {
   Status advanced = engine->AdvanceTo(30);
   ASSERT_FALSE(advanced.ok());
   ExpectInternal(advanced, c.message);
-  // The engine keeps serving statements, and the daemon keeps running.
+  // The engine keeps serving statements.
   EXPECT_TRUE(session->Execute("append t (x = 1)").ok());
   auto rows = session->Execute("retrieve (t.x) from t in t");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->rows.size(), 1u);
-  // Stop reports the error of the daemon's last advance, which fired the
-  // rule too.
+  // Stop reports the error of DBCRON's last chunk, which fired the rule
+  // too.
   EXPECT_EQ(engine->Stop().code(), StatusCode::kInternal);
 }
 

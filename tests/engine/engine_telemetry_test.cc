@@ -1,6 +1,6 @@
 // End-to-end telemetry: one logical operation = one connected span tree
-// across the pool boundary (ExecuteAsync) and on the DBCRON daemon thread
-// (AdvanceTo), audit records for temporal and event rules with
+// across the pool boundary (ExecuteAsync) and through a DBCRON advance
+// (AdvanceTo, under the caller's open span), audit records for temporal and event rules with
 // scheduled-vs-actual days and triggering statement/session, the
 // slow-statement log, the audit ring's bound under sustained firing, and
 // statement accounting: every statement recorded once, on every path.
@@ -79,7 +79,7 @@ TEST(EngineTelemetryTest, DbcronFiringIsOneTreeWithAuditRecord) {
   ASSERT_TRUE(engine->AdvanceTo(5).ok());
 
   // Span tree: every cron.fire (and cron.probe) parents to a cron.advance
-  // root on the daemon thread.
+  // span, itself a root here: no span is open on the calling thread.
   std::vector<obs::SpanRecord> spans = obs::Trace().Snapshot();
   std::map<uint64_t, std::string> by_id;
   for (const obs::SpanRecord& s : spans) by_id[s.id] = s.name;
@@ -111,6 +111,71 @@ TEST(EngineTelemetryTest, DbcronFiringIsOneTreeWithAuditRecord) {
   // The trail agrees with the cron counters.
   EXPECT_EQ(static_cast<int64_t>(records.size()),
             engine->CronStats().fires);
+}
+
+TEST(EngineTelemetryTest, CronAdvanceParentsToCallersSpan) {
+  auto engine = Engine::Create().value();
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session->Execute("create table fires (day int)").ok());
+  ASSERT_TRUE(session
+                  ->Execute("declare rule daily on DAYS:during:WEEKS do "
+                            "append fires (day = fire_day())")
+                  .ok());
+  obs::Trace().Clear();
+
+  uint64_t client_id = 0;
+  {
+    obs::Tracer::Span client = obs::Trace().StartSpan("client");
+    client_id = client.id();
+    ASSERT_TRUE(engine->AdvanceTo(5).ok());
+  }
+
+  // DBCRON advances on the calling thread, so every chunk's cron.advance
+  // hangs off the caller's open span: the advance is one trace tree.
+  std::vector<obs::SpanRecord> advances =
+      SpansNamed(obs::Trace().Snapshot(), "cron.advance");
+  ASSERT_FALSE(advances.empty());
+  for (const obs::SpanRecord& advance : advances) {
+    EXPECT_EQ(advance.parent_id, client_id);
+  }
+}
+
+TEST(EngineTelemetryTest, CascadedEventRuleAuditCarriesAdvancingSession) {
+  auto engine = Engine::Create().value();
+  auto session = engine->CreateSession();
+  ASSERT_TRUE(session->Execute("create table alerts (day int)").ok());
+  ASSERT_TRUE(session->Execute("create table audit_rows (day int)").ok());
+  ASSERT_TRUE(session
+                  ->Execute("define rule mirror on append to alerts do "
+                            "append audit_rows (day = NEW.day)")
+                  .ok());
+  ASSERT_TRUE(session
+                  ->Execute("declare rule daily on DAYS:during:WEEKS do "
+                            "append alerts (day = fire_day())")
+                  .ok());
+  obs::Audit().Clear();
+  const std::string advance_stmt = "advance to 3";
+  ASSERT_TRUE(session->Execute(advance_stmt).ok());
+
+  // Days 2 and 3 fire: each a DBCRON record (no session) and a cascaded
+  // event-rule record attributed to the session whose statement advanced
+  // the clock.
+  int dbcron = 0;
+  int cascaded = 0;
+  for (const obs::AuditRecord& r : obs::Audit().Snapshot()) {
+    if (r.source == obs::AuditRecord::Source::kDbCron) {
+      ++dbcron;
+      EXPECT_EQ(r.session_id, 0u);
+      EXPECT_EQ(r.trigger, "dbcron");
+    } else {
+      ++cascaded;
+      EXPECT_EQ(r.rule, "mirror");
+      EXPECT_EQ(r.session_id, session->id());
+      EXPECT_EQ(r.trigger, advance_stmt);
+    }
+  }
+  EXPECT_EQ(dbcron, 2);
+  EXPECT_EQ(cascaded, 2);
 }
 
 TEST(EngineTelemetryTest, LateDeclaredRuleAuditsCatchUpLag) {

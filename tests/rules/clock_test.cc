@@ -28,17 +28,5 @@ TEST(VirtualClockTest, TickSkipsZero) {
   EXPECT_EQ(clock.NowDay(), 4);
 }
 
-TEST(SystemClockTest, ReportsAPlausibleToday) {
-  TimeSystem ts{CivilDate{1993, 1, 1}};
-  SystemClock clock(&ts);
-  TimePoint now = clock.NowDay();
-  CivilDate today = ts.CivilFromDayPoint(now);
-  // This test suite is being run well after 2020 and (optimistically)
-  // before 2200.
-  EXPECT_GT(today.year, 2020);
-  EXPECT_LT(today.year, 2200);
-  EXPECT_TRUE(IsValidCivil(today));
-}
-
 }  // namespace
 }  // namespace caldb

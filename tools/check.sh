@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke check: ASan/UBSan build + full test suite, then a standalone
 # UBSan build over the rep/sweep surface, then a TSan build over the
-# engine's concurrency stress tests.
+# engine's concurrency stress tests and the tests that run user callbacks
+# and DBCRON firings on the calling threads.
 #
 #   tools/check.sh [--no-tsan | --tsan-only] [build-dir]
 #
@@ -63,20 +64,24 @@ fi
 
 if [[ "$run_tsan" == 1 ]]; then
   # TSan pass over the concurrent engine: N writer + M reader sessions
-  # racing DBCRON, plus the per-table lock stress tests (readers on one
-  # table progressing under a writer hammering another —
-  # tests/engine/engine_concurrency_test.cc), and sessions sharing the
+  # racing concurrent advancers, plus the per-table lock stress tests
+  # (readers on one table progressing under a writer hammering another —
+  # tests/engine/engine_concurrency_test.cc), sessions sharing the
   # catalog's calendar-value cache across racing redefinitions
-  # (tests/engine/engine_stale_cache_test.cc).  TSan cannot combine with
-  # ASan, so it gets its own tree; any data race in the
-  # Engine/LockManager/Session/ThreadPool/catalog locking shows up here
-  # as a hard failure.
+  # (tests/engine/engine_stale_cache_test.cc), and the firewall and
+  # telemetry tests, whose rule callbacks and DBCRON firings run on the
+  # calling threads next to the pool workers
+  # (tests/engine/engine_firewall_test.cc, engine_telemetry_test.cc).
+  # TSan cannot combine with ASan, so it gets its own tree; any data race
+  # in the Engine/LockManager/Session/ThreadPool/catalog locking shows up
+  # here as a hard failure.
   tsan_dir="$repo_root/build-tsan"
   cmake -B "$tsan_dir" -S "$repo_root" -DCALDB_SANITIZE=thread
   cmake --build "$tsan_dir" -j "$(nproc)" \
-        --target engine_concurrency_test engine_stale_cache_test
+        --target engine_concurrency_test engine_stale_cache_test \
+                 engine_firewall_test engine_telemetry_test
   TSAN_OPTIONS="halt_on_error=1" \
       ctest --test-dir "$tsan_dir" \
-            -R '^(engine_concurrency_test|engine_stale_cache_test)$' \
+            -R '^(engine_concurrency_test|engine_stale_cache_test|engine_firewall_test|engine_telemetry_test)$' \
             --output-on-failure
 fi
