@@ -36,7 +36,6 @@ constexpr int kRows = 256;
 
 std::unique_ptr<Engine> MakeEngine(size_t cache_entries) {
   EngineOptions opts;
-  opts.pool_threads = 1;
   opts.stmt_cache_entries = cache_entries;
   auto engine = Engine::Create(opts).value();
   auto session = engine->CreateSession();

@@ -33,7 +33,6 @@ std::string FreshDataDir(const std::string& name) {
 std::unique_ptr<Engine> MakeEngine(const std::string& data_dir,
                                    storage::FsyncPolicy policy) {
   EngineOptions opts;
-  opts.pool_threads = 1;
   opts.data_dir = data_dir;  // "" = in-memory baseline
   opts.fsync_policy = policy;
   opts.checkpoint_wal_bytes = 0;  // no auto-checkpoint mid-benchmark

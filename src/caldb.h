@@ -5,8 +5,8 @@
 //   caldb::Engine        the thread-safe run-time (engine/engine.h):
 //                        owns the database, the CALENDARS catalog, the
 //                        temporal-rule manager and the DBCRON daemon;
-//                        executes statements concurrently on a thread
-//                        pool behind per-table reader/writer locks.  Set
+//                        executes statements from any number of caller
+//                        threads behind per-table reader/writer locks.  Set
 //                        EngineOptions::data_dir to make it durable —
 //                        WAL + snapshot recovery, docs/DURABILITY.md.
 //   caldb::Session       a per-client handle (engine/session.h): window,

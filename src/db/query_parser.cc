@@ -1,5 +1,6 @@
 #include <cctype>
 
+#include "common/limits.h"
 #include "common/macros.h"
 #include "common/strings.h"
 #include "db/compiled_statement.h"
@@ -428,7 +429,13 @@ class QueryParser {
 
   // --- expressions ----------------------------------------------------------
 
+  // Nesting levels are counted where the grammar recurses: every ParseOr
+  // (a parenthesized expression or a call argument), a `not` and a unary
+  // minus.
+
   Result<DbExprPtr> ParseOr() {
+    ParseDepthGuard nest(&depth_);
+    CALDB_RETURN_IF_ERROR(nest.Check());
     CALDB_ASSIGN_OR_RETURN(DbExprPtr lhs, ParseAnd());
     while (MatchKeyword("or")) {
       CALDB_ASSIGN_OR_RETURN(DbExprPtr rhs, ParseAnd());
@@ -458,6 +465,8 @@ class QueryParser {
 
   Result<DbExprPtr> ParseNot() {
     if (MatchKeyword("not")) {
+      ParseDepthGuard nest(&depth_);
+      CALDB_RETURN_IF_ERROR(nest.Check());
       CALDB_ASSIGN_OR_RETURN(DbExprPtr inner, ParseNot());
       auto node = std::make_shared<DbExpr>();
       node->kind = DbExpr::Kind::kLogical;
@@ -592,6 +601,8 @@ class QueryParser {
         }
         if (MatchPunct("-")) {
           // Unary minus: fold into constants, or rewrite as 0 - expr.
+          ParseDepthGuard nest(&depth_);
+          CALDB_RETURN_IF_ERROR(nest.Check());
           CALDB_ASSIGN_OR_RETURN(DbExprPtr inner, ParsePrimary());
           if (inner->kind == DbExpr::Kind::kConst &&
               inner->constant.type() == ValueType::kInt) {
@@ -622,6 +633,7 @@ class QueryParser {
   std::string_view src_;
   std::vector<QToken> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current nesting level (common/limits.h)
 };
 
 }  // namespace
@@ -634,10 +646,17 @@ Result<Statement> ParseStatement(std::string_view query) {
   CALDB_ASSIGN_OR_RETURN(std::vector<QToken> tokens, QLex(query));
   // `explain <stmt>` / `profile <stmt>`: strip the verb and compile the
   // tail exactly once — plan rendering and the PROFILE run share the
-  // handle (see ExplainStmt).
-  if (tokens.size() >= 2 && tokens[0].kind == QTok::kIdent &&
-      (EqualsIgnoreCase(tokens[0].text, "explain") ||
-       EqualsIgnoreCase(tokens[0].text, "profile"))) {
+  // handle (see ExplainStmt).  The tail may not be another explain or
+  // profile: each would recurse through CompileStatement.
+  auto is_explain = [&](size_t i) {
+    return tokens[i].kind == QTok::kIdent &&
+           (EqualsIgnoreCase(tokens[i].text, "explain") ||
+            EqualsIgnoreCase(tokens[i].text, "profile"));
+  };
+  if (tokens.size() >= 2 && is_explain(0)) {
+    if (is_explain(1)) {
+      return Status::ParseError("explain/profile cannot be nested");
+    }
     ExplainStmt stmt;
     stmt.profile = EqualsIgnoreCase(tokens[0].text, "profile");
     stmt.query = std::string(query.substr(tokens[1].offset));

@@ -101,7 +101,6 @@ Engine::Engine(EngineOptions opts)
 
 Result<std::unique_ptr<Engine>> Engine::Create(EngineOptions opts) {
   return GuardedCall("Create", [&]() -> Result<std::unique_ptr<Engine>> {
-    opts.pool_threads = std::max(1, opts.pool_threads);
     auto engine = std::unique_ptr<Engine>(new Engine(opts));
     CALDB_RETURN_IF_ERROR(engine->Init());
     return engine;
@@ -120,7 +119,6 @@ Status Engine::Init() {
                                             opts_.rule_unit));
     cron_ = std::make_unique<DbCron>(rules_.get(), &clock_, opts_.probe_period);
   }
-  pool_ = std::make_unique<ThreadPool>(opts_.pool_threads);
   if (opts_.slow_statement_ns >= 0) {
     Database::SetSlowStatementThresholdNs(opts_.slow_statement_ns);
   }
@@ -547,44 +545,6 @@ Result<QueryResult> Engine::ExecuteLocked(const CompiledStatement& compiled,
   return result;
 }
 
-std::future<Result<QueryResult>> Engine::ExecuteAsync(std::string statement) {
-  // Capture the submitter's trace and log context so the statement stays
-  // one span tree (and one session attribution) across the pool boundary;
-  // the pool's own isolating context is swapped out inside the task.
-  const obs::TraceContext trace_ctx = obs::Tracer::CurrentContext();
-  obs::LogContext log_ctx = obs::CurrentLogContext();
-  // Not SubmitTask: when Stop() races the submit, a dropped packaged_task
-  // would surface as a broken_promise *exception* from future::get — the
-  // rejection has to come back as a Status like every other failure.
-  auto task = std::make_shared<std::packaged_task<Result<QueryResult>()>>(
-      [this, stmt = std::move(statement), trace_ctx,
-       log_ctx = std::move(log_ctx)] {
-        obs::ScopedTraceContext trace_scope{trace_ctx};
-        obs::ScopedLogContext log_scope{log_ctx};
-        return Execute(stmt);
-      });
-  std::future<Result<QueryResult>> result = task->get_future();
-  if (stopped() || !pool_->Submit([task] { (*task)(); })) {
-    std::promise<Result<QueryResult>> p;
-    p.set_value(Status::InvalidArgument("engine is stopped"));
-    return p.get_future();
-  }
-  return result;
-}
-
-std::vector<Result<QueryResult>> Engine::ExecuteBatch(
-    const std::vector<std::string>& statements) {
-  std::vector<std::future<Result<QueryResult>>> futures;
-  futures.reserve(statements.size());
-  for (const std::string& stmt : statements) {
-    futures.push_back(ExecuteAsync(stmt));
-  }
-  std::vector<Result<QueryResult>> results;
-  results.reserve(statements.size());
-  for (auto& f : futures) results.push_back(f.get());
-  return results;
-}
-
 Result<int64_t> Engine::DeclareRule(const std::string& name,
                                     const std::string& expression,
                                     TemporalAction action,
@@ -710,7 +670,6 @@ Status Engine::Stop() {
       std::lock_guard<std::mutex> lock(cron_mu_);
       if (cron_error_day_ >= clock_.NowDay()) st = cron_error_;
     }
-    if (pool_ != nullptr) pool_->Shutdown();
     if (snapshotter_ != nullptr) snapshotter_->Stop();
     if (wal_ != nullptr) {
       if (opts_.checkpoint_on_stop) {

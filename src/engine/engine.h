@@ -23,8 +23,8 @@
 //    firings interleave with (never run inside) concurrent statements.
 //    Concurrent advancers queue on one mutex.  Stop() waits for an
 //    in-flight advance.
-//  - A fixed-size ThreadPool backs ExecuteAsync/ExecuteBatch for
-//    parallel query execution.
+//  - The engine starts no worker threads: a caller wanting parallel
+//    execution runs its own threads, one Session each.
 //
 // Construction of Database / DbCron / TemporalRuleManager directly is
 // deprecated for servers: embed an Engine and use its accessors (the
@@ -37,7 +37,7 @@
 // into the database, so no reverse edge can occur.
 //
 // Observability: "caldb.engine.*" (docs/OBSERVABILITY.md) — active
-// session count, pool queue depth, per-mode lock wait histograms,
+// session count, per-mode lock wait histograms,
 // per-table lock counters (caldb.engine.table_locks.*), statement/script
 // counters.
 
@@ -45,7 +45,6 @@
 #define CALDB_ENGINE_ENGINE_H_
 
 #include <atomic>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -55,7 +54,6 @@
 
 #include "catalog/calendar_catalog.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "db/database.h"
 #include "engine/lock_manager.h"
 #include "engine/statement_cache.h"
@@ -74,8 +72,6 @@ struct EngineOptions {
   CivilDate epoch{1993, 1, 1};
   /// The virtual clock's starting day.
   TimePoint start_day = 1;
-  /// Worker threads backing ExecuteAsync / ExecuteBatch (>= 1).
-  int pool_threads = 4;
   /// DBCRON probe period T, in rule-unit granules.
   int64_t probe_period = 7;
   /// Rule scheduling horizon, in rule-unit granules.
@@ -125,8 +121,8 @@ struct EngineOptions {
 class Engine {
  public:
   /// Builds the catalog, database (with the calendar operators of §5
-  /// registered), temporal-rule manager and DBCRON, and starts the worker
-  /// pool (and the metrics snapshotter, when configured).
+  /// registered), temporal-rule manager and DBCRON, and starts the metrics
+  /// snapshotter when configured.
   static Result<std::unique_ptr<Engine>> Create(EngineOptions opts = {});
 
   /// Stops the engine (see Stop) and tears the parts down.
@@ -159,13 +155,6 @@ class Engine {
   std::vector<StatementCache::EntryInfo> StatementCacheEntries() const {
     return stmt_cache_.Entries();
   }
-
-  /// Enqueues a statement on the pool; the future carries its result.
-  std::future<Result<QueryResult>> ExecuteAsync(std::string statement);
-
-  /// Executes a batch on the pool, preserving order of results.
-  std::vector<Result<QueryResult>> ExecuteBatch(
-      const std::vector<std::string>& statements);
 
   // --- temporal rules / clock -----------------------------------------------
 
@@ -224,9 +213,9 @@ class Engine {
   /// a cold start).
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
-  /// Waits for an in-flight advance, then drains and joins the pool.
+  /// Waits for an in-flight advance, then stops the metrics snapshotter.
   /// Idempotent; called by the destructor.  After Stop, Execute keeps
-  /// working single-threaded but AdvanceTo / ExecuteAsync fail.  Returns
+  /// working but AdvanceTo fails.  Returns
   /// the error of DBCRON's last chunk if it failed, and any
   /// checkpoint/sync error.
   Status Stop();
@@ -324,7 +313,6 @@ class Engine {
   VirtualClock clock_;
   std::unique_ptr<TemporalRuleManager> rules_;
   std::unique_ptr<DbCron> cron_;
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<obs::MetricsSnapshotter> snapshotter_;
   // Durability (null for an in-memory engine).  Appends happen under
   // db_mu_ exclusive; the writer's own mutex covers Sync from Stop().

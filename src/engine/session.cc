@@ -119,8 +119,8 @@ Result<QueryResult> PreparedStatement::Execute(const ParamList& params) const {
   }
   // Liveness first, before engine_ is dereferenced at all: a handle that
   // outlived its engine must fail cleanly, not read freed memory.  Then
-  // the stop flag — after Engine::Stop() the pool and DBCRON are gone,
-  // and a handle's execution contract ends with them.
+  // the stop flag — after Engine::Stop() DBCRON no longer advances, and
+  // a handle's execution contract ends with it.
   if (engine_alive_ == nullptr ||
       !engine_alive_->load(std::memory_order_acquire)) {
     return Status::InvalidArgument(

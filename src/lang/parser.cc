@@ -1,5 +1,6 @@
 #include "lang/parser.h"
 
+#include "common/limits.h"
 #include "common/macros.h"
 #include "obs/obs.h"
 #include "lang/lexer.h"
@@ -61,7 +62,14 @@ class Parser {
 
   // --- statements -----------------------------------------------------------
 
+  // Nesting levels are counted where the grammar recurses: every ParseStmt
+  // (a block or an if/while body) and ParseAddExpr (a parenthesized
+  // expression or a call argument), and each link of a selection or
+  // foreach chain.
+
   Result<Stmt> ParseStmt() {
+    ParseDepthGuard nest(&depth_);
+    CALDB_RETURN_IF_ERROR(nest.Check());
     const Token& t = Peek();
     if (t.kind == TokenKind::kLBrace) return ParseBlock();
     if (t.kind == TokenKind::kIf) return ParseIf();
@@ -172,6 +180,8 @@ class Parser {
 
   // addexpr := calexpr (('+' | '-') calexpr)*   (left-associative)
   Result<ExprPtr> ParseAddExpr() {
+    ParseDepthGuard nest(&depth_);
+    CALDB_RETURN_IF_ERROR(nest.Check());
     CALDB_ASSIGN_OR_RETURN(ExprPtr lhs, ParseCalExpr());
     while (Check(TokenKind::kPlus) || Check(TokenKind::kMinus)) {
       const Token& op = Advance();
@@ -200,6 +210,8 @@ class Parser {
       CALDB_ASSIGN_OR_RETURN(node->selection, ParseSelectionItems());
       CALDB_RETURN_IF_ERROR(Expect(TokenKind::kRBracket));
       CALDB_RETURN_IF_ERROR(Expect(TokenKind::kSlash));
+      ParseDepthGuard nest(&depth_);
+      CALDB_RETURN_IF_ERROR(nest.Check());
       CALDB_ASSIGN_OR_RETURN(node->child, ParseCalExpr());
       return node;
     }
@@ -230,6 +242,8 @@ class Parser {
     Advance();  // ':' or '.'
     CALDB_ASSIGN_OR_RETURN(ListOp op, ParseListOpToken());
     if (!Match(mark)) return Unexpected(strict ? "':'" : "'.'");
+    ParseDepthGuard nest(&depth_);
+    CALDB_RETURN_IF_ERROR(nest.Check());
     CALDB_ASSIGN_OR_RETURN(ExprPtr rhs, ParseCalExpr());
     ExprPtr node = std::make_shared<Expr>();
     node->kind = Expr::Kind::kForEach;
@@ -411,6 +425,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // current nesting level (common/limits.h)
 };
 
 }  // namespace

@@ -13,9 +13,8 @@
 // pre-rendered line) when it is not.  Rendering happens outside the lock.
 //
 // Context: a thread-local LogContext carries the current session id and
-// statement text.  Engine/Session install it with ScopedLogContext, the
-// thread pool propagates it across ExecuteAsync, and every log line (and
-// audit record) stamps it — so a slow statement logged three frames deep
+// statement text.  Engine/Session install it with ScopedLogContext on the
+// calling thread, and every log line (and audit record) stamps it — so a slow statement logged three frames deep
 // still says which session and which statement caused it.
 //
 // Event names follow the span convention ("layer.what", no "caldb."

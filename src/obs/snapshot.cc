@@ -77,16 +77,6 @@ std::string RenderDashboard(MetricRegistry& registry,
          FormatUs(registry.histogram("caldb.engine.lock_wait_ns.write")
                       ->Percentile(99)) +
          " (cumulative)\n";
-  out += "  pool         depth " +
-         std::to_string(
-             registry.gauge("caldb.engine.pool.queue_depth")->value()) +
-         " (max " +
-         std::to_string(
-             registry.gauge("caldb.engine.pool.queue_depth_max")->value()) +
-         "), wait p99 " +
-         FormatUs(
-             registry.histogram("caldb.engine.pool.wait_ns")->Percentile(99)) +
-         "\n";
   out += "  sessions     " +
          std::to_string(
              registry.gauge("caldb.engine.active_sessions")->value()) +

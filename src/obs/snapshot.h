@@ -6,7 +6,7 @@
 //
 //   {"ts_us":...,"interval_ms":1000,
 //    "counters_delta":{"caldb.engine.statements":1234,...},   // since the
-//    "gauges":{"caldb.engine.pool.queue_depth":0,...},        //   previous line
+//    "gauges":{"caldb.engine.active_sessions":2,...},         //   previous line
 //    "histograms":{"caldb.engine.lock_wait_ns.write":
 //                  {"count":12,"p50":63,"p99":4095,"max":3801}}}
 //
@@ -55,7 +55,7 @@ class CounterDeltas {
   std::map<std::string, int64_t> prev_;
 };
 
-/// One `\top` frame: qps and rule/pool/lock/cron vitals computed from the
+/// One `\top` frame: qps and rule/session/lock/cron vitals computed from the
 /// registry's current state and the last interval's counter deltas.
 std::string RenderDashboard(MetricRegistry& registry,
                             const std::map<std::string, int64_t>& deltas,

@@ -34,17 +34,6 @@ uint32_t CurrentThreadId() {
   return tid;
 }
 
-TraceContext Tracer::CurrentContext() {
-  return TraceContext{t_span_stack.empty() ? 0 : t_span_stack.back()};
-}
-
-ScopedTraceContext::ScopedTraceContext(TraceContext ctx) {
-  saved_.swap(t_span_stack);
-  if (ctx.span_id != 0) t_span_stack.push_back(ctx.span_id);
-}
-
-ScopedTraceContext::~ScopedTraceContext() { t_span_stack.swap(saved_); }
-
 Tracer& Tracer::Global() {
   static Tracer* tracer = new Tracer();
   return *tracer;

@@ -10,15 +10,10 @@
 //
 // Spans are scope-bound (LIFO per thread), which RAII usage guarantees.
 //
-// Cross-thread propagation: a logical operation that hops threads (an
-// ExecuteAsync statement crossing the pool boundary) stays one tree by
-// capturing Tracer::CurrentContext() on the submitting thread and
-// installing it on the executing thread with a ScopedTraceContext — which
-// swaps the worker's thread-local span stack for one seeded with the
-// captured parent, and restores the original on scope exit.  A default
-// TraceContext{} isolates instead of propagating: the thread pool wraps
-// every task in one so a worker never parents spans to whatever span
-// happened to be open (or leaked) on that thread before.
+// The span stack is thread-local and never crosses threads: a span is
+// parented only to a span open on its own thread.  The engine runs a
+// statement on its caller's thread, so it nests under whatever span the
+// caller has open, and is a root when none is.
 
 #ifndef CALDB_OBS_TRACE_H_
 #define CALDB_OBS_TRACE_H_
@@ -43,27 +38,6 @@ struct SpanRecord {
   std::vector<std::pair<std::string, std::string>> attrs;
 
   int64_t duration_ns() const { return end_ns - start_ns; }
-};
-
-/// A capturable reference to the innermost open span of some thread —
-/// what crosses a thread boundary to keep one logical operation a single
-/// span tree.  span_id 0 means "no parent" (adopting it isolates).
-struct TraceContext {
-  uint64_t span_id = 0;
-};
-
-/// RAII adoption of a TraceContext: swaps this thread's span stack for
-/// one seeded with the context's span (empty for a null context), and
-/// restores the previous stack — stale entries and all — on destruction.
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(TraceContext ctx);
-  ~ScopedTraceContext();
-  ScopedTraceContext(const ScopedTraceContext&) = delete;
-  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-
- private:
-  std::vector<uint64_t> saved_;
 };
 
 /// A small dense per-process thread id (1, 2, ...), stable for the
@@ -103,10 +77,6 @@ class Tracer {
   };
 
   Span StartSpan(std::string_view name);
-
-  /// The innermost open span on the calling thread (null context when
-  /// none) — capture before handing work to another thread.
-  static TraceContext CurrentContext();
 
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }

@@ -311,6 +311,13 @@ Result<SnapshotImage> DecodeSnapshot(std::string_view blob) {
       ti.indexed_columns.push_back(std::move(column));
     }
     CALDB_ASSIGN_OR_RETURN(uint32_t row_count, dec.ReadU32());
+    // Every cell takes at least its one-byte tag, so a row count the bytes
+    // left cannot hold is corrupt.  A zero-column row would take no bytes
+    // at all, so a zero-column table holds no rows.
+    if (column_count == 0 ? row_count > 0
+                          : row_count > dec.remaining() / column_count) {
+      return Status::ParseError("snapshot row count exceeds its payload");
+    }
     for (uint32_t r = 0; r < row_count; ++r) {
       Row row;
       row.reserve(column_count);

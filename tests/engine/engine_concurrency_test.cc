@@ -80,36 +80,8 @@ TEST(EngineFacadeTest, StopIsIdempotentAndFailsFurtherAdvances) {
   EXPECT_TRUE(engine->Stop().ok());
   EXPECT_TRUE(engine->Stop().ok());
   EXPECT_FALSE(engine->AdvanceTo(20).ok());
-  auto f = engine->ExecuteAsync("retrieve (t.x) from t in t");
-  EXPECT_FALSE(f.get().ok());
-  // Synchronous Execute keeps working after Stop (single-threaded mode).
+  // Execute keeps working after Stop.
   EXPECT_TRUE(session->Execute("create table t (x int)").ok());
-}
-
-TEST(EngineFacadeTest, ExecuteBatchPreservesOrder) {
-  auto engine = Engine::Create().value();
-  auto session = engine->CreateSession();
-  ASSERT_TRUE(session->Execute("create table seq (x int)").ok());
-  std::vector<std::string> batch;
-  for (int i = 0; i < 32; ++i) {
-    batch.push_back("append seq (x = " + std::to_string(i) + ")");
-  }
-  batch.push_back("retrieve (s.x) from s in seq");
-  auto results = engine->ExecuteBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i + 1 < results.size(); ++i) {
-    EXPECT_TRUE(results[i].ok()) << results[i].status().ToString();
-  }
-  // The final retrieve was *submitted* after every append, but the pool
-  // runs several tasks at once and the db lock is not FIFO-fair, so it
-  // may overtake appends still waiting for the write lock: it sees some
-  // subset of the 32, never more.
-  EXPECT_LE(RowCount(results.back()), 32);
-  // Once ExecuteBatch has returned, every append's future has resolved,
-  // so a follow-up retrieve sees all 32.
-  auto after = engine->ExecuteBatch({"retrieve (s.x) from s in seq"});
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_EQ(RowCount(after.front()), 32);
 }
 
 // N appenders + M readers on one table, while DBCRON advances and a rule
@@ -118,9 +90,7 @@ TEST(EngineFacadeTest, ExecuteBatchPreservesOrder) {
 //  - every append is visible at the end;
 //  - rows written by rule firings equal DBCRON's own fire count.
 TEST(EngineConcurrencyTest, WritersReadersAndCronInterleave) {
-  EngineOptions opts;
-  opts.pool_threads = 4;
-  auto engine = Engine::Create(opts).value();
+  auto engine = Engine::Create().value();
   auto setup = engine->CreateSession();
   ASSERT_TRUE(setup->Execute("create table events (writer int, seq int)").ok());
   ASSERT_TRUE(setup->Execute("create table fires (day int)").ok());
@@ -351,13 +321,11 @@ TEST(EngineConcurrencyTest, SharedCalendarCacheUnderRedefinitionAndCron) {
   EXPECT_TRUE(engine->Stop().ok());
 }
 
-// The pool path: a read-mostly workload issued via ExecuteAsync from many
-// client threads at once, racing a writer.  Checks the futures all
-// resolve and the final state is exact.
-TEST(EngineConcurrencyTest, AsyncPoolExecution) {
-  EngineOptions opts;
-  opts.pool_threads = 4;
-  auto engine = Engine::Create(opts).value();
+// A read-mostly workload from four client threads, one session each,
+// racing the appends among them.  Checks every statement succeeds and
+// the final state is exact.
+TEST(EngineConcurrencyTest, ParallelSessionExecution) {
+  auto engine = Engine::Create().value();
   auto setup = engine->CreateSession();
   ASSERT_TRUE(setup->Execute("create table kv (k int, v int)").ok());
   for (int i = 0; i < 16; ++i) {
@@ -367,23 +335,25 @@ TEST(EngineConcurrencyTest, AsyncPoolExecution) {
                     .ok());
   }
 
-  std::vector<std::future<Result<QueryResult>>> futures;
-  futures.reserve(256);
-  for (int i = 0; i < 256; ++i) {
-    if (i % 16 == 0) {
-      futures.push_back(engine->ExecuteAsync(
-          "append kv (k = " + std::to_string(100 + i) + ", v = 0)"));
-    } else {
-      futures.push_back(
-          engine->ExecuteAsync("retrieve (e.k, e.v) from e in kv"));
-    }
+  constexpr int kThreads = 4;
+  constexpr int kStatements = 256;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto session = engine->CreateSession();
+      for (int i = t; i < kStatements; i += kThreads) {
+        Result<QueryResult> r =
+            i % 16 == 0
+                ? session->Execute("append kv (k = " + std::to_string(100 + i) +
+                                   ", v = 0)")
+                : session->Execute("retrieve (e.k, e.v) from e in kv");
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+      }
+    });
   }
-  for (auto& f : futures) {
-    auto r = f.get();
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-  }
+  for (auto& t : threads) t.join();
   auto final_rows = MustOk(setup->Execute("retrieve (e.k) from e in kv"));
-  EXPECT_EQ(RowCount(final_rows), 16 + 256 / 16);
+  EXPECT_EQ(RowCount(final_rows), 16 + kStatements / 16);
 }
 
 // Many sessions hammering the same statement texts while a DDL thread
@@ -669,31 +639,33 @@ TEST(EngineConcurrencyTest, AutoCheckpointsMatchWalVolume) {
   std::filesystem::remove_all(dir);
 }
 
-// Destruction with traffic in flight: Engine::~Engine stops DBCRON and
-// drains the pool without losing already-queued work or deadlocking.
+// Shutdown with traffic in flight: appender threads, one session each,
+// race an advance and Stop() without losing an acknowledged append or
+// deadlocking.
 TEST(EngineConcurrencyTest, CleanShutdownUnderLoad) {
   for (int round = 0; round < 3; ++round) {
-    EngineOptions opts;
-    opts.pool_threads = 3;
-    auto engine = Engine::Create(opts).value();
+    auto engine = Engine::Create().value();
     auto session = engine->CreateSession();
     ASSERT_TRUE(session->Execute("create table t (x int)").ok());
-    std::vector<std::future<Result<QueryResult>>> futures;
-    for (int i = 0; i < 64; ++i) {
-      futures.push_back(engine->ExecuteAsync("append t (x = 1)"));
+    std::atomic<int64_t> succeeded{0};
+    std::vector<std::thread> appenders;
+    for (int t = 0; t < 3; ++t) {
+      appenders.emplace_back([&] {
+        auto mine = engine->CreateSession();
+        for (int i = 0; i < 64; ++i) {
+          if (mine->Execute("append t (x = 1)").ok()) ++succeeded;
+        }
+      });
     }
     std::thread advancer([&] { (void)engine->AdvanceTo(50); });
     EXPECT_TRUE(engine->Stop().ok());
     advancer.join();
-    int64_t succeeded = 0;
-    for (auto& f : futures) {
-      if (f.get().ok()) ++succeeded;
-    }
-    // Queued-before-shutdown tasks ran; tasks rejected after the cutoff
-    // failed cleanly.  Nothing hangs, nothing crashes.
+    for (auto& t : appenders) t.join();
+    // Every acknowledged append is visible.  Nothing hangs, nothing
+    // crashes.
     auto rows = session->Execute("retrieve (t.x) from t in t");
     ASSERT_TRUE(rows.ok());
-    EXPECT_EQ(static_cast<int64_t>(rows->rows.size()), succeeded);
+    EXPECT_EQ(static_cast<int64_t>(rows->rows.size()), succeeded.load());
   }
 }
 

@@ -14,6 +14,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "gtest/gtest.h"
 
@@ -96,14 +97,18 @@ TEST_P(EngineFirewallTest, PreparedExecuteReturnsInternal) {
   EXPECT_TRUE(next.ok()) << next.status().ToString();
 }
 
-TEST_P(EngineFirewallTest, ExecuteAsyncReturnsInternal) {
+TEST_P(EngineFirewallTest, EngineExecuteReturnsInternal) {
   const Case c = GetCase();
   auto engine = MakeEngine(c.thrower);
-  Result<QueryResult> r = engine->ExecuteAsync("append t (x = 1)").get();
-  ASSERT_FALSE(r.ok());
-  ExpectInternal(r.status(), c.message);
-  Result<QueryResult> next = engine->ExecuteAsync("append u (x = 1)").get();
-  EXPECT_TRUE(next.ok()) << next.status().ToString();
+  // From a thread of the caller's own, as a parallel client would.
+  std::thread client([&] {
+    Result<QueryResult> r = engine->Execute("append t (x = 1)");
+    ASSERT_FALSE(r.ok());
+    ExpectInternal(r.status(), c.message);
+    Result<QueryResult> next = engine->Execute("append u (x = 1)");
+    EXPECT_TRUE(next.ok()) << next.status().ToString();
+  });
+  client.join();
 }
 
 TEST_P(EngineFirewallTest, RepeatedThrowsDoNotLeakRuleCascadeDepth) {

@@ -26,7 +26,6 @@ std::string FreshDataDir(const char* name) {
 EngineOptions DurableOptions(const std::string& data_dir) {
   EngineOptions opts;
   opts.epoch = CivilDate{1993, 1, 1};
-  opts.pool_threads = 1;
   opts.data_dir = data_dir;
   opts.fsync_policy = storage::FsyncPolicy::kOff;  // tests: speed over safety
   return opts;

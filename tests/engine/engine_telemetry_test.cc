@@ -1,6 +1,6 @@
 // End-to-end telemetry: one logical operation = one connected span tree
-// across the pool boundary (ExecuteAsync) and through a DBCRON advance
-// (AdvanceTo, under the caller's open span), audit records for temporal and event rules with
+// on the caller's thread, through a statement (Execute) and a DBCRON
+// advance (AdvanceTo, under the caller's open span), audit records for temporal and event rules with
 // scheduled-vs-actual days and triggering statement/session, the
 // slow-statement log, the audit ring's bound under sustained firing, and
 // statement accounting: every statement recorded once, on every path.
@@ -29,40 +29,28 @@ std::vector<obs::SpanRecord> SpansNamed(
   return out;
 }
 
-TEST(EngineTelemetryTest, AsyncStatementStaysOneSpanTreeAcrossPool) {
+TEST(EngineTelemetryTest, StatementSpanParentsToCallersOpenSpan) {
   auto engine = Engine::Create().value();
   obs::Trace().Clear();
 
   uint64_t root_id = 0;
-  uint32_t submit_tid = 0;
   {
-    obs::Tracer::Span root = obs::Trace().StartSpan("test.submit");
+    obs::Tracer::Span root = obs::Trace().StartSpan("test.caller");
     root_id = root.id();
-    submit_tid = obs::CurrentThreadId();
-    auto future = engine->ExecuteAsync("create table a (x int)");
-    ASSERT_TRUE(future.get().ok());
+    ASSERT_TRUE(engine->Execute("create table a (x int)").ok());
   }
+  // No span is open now, so this statement's span is a root.
+  ASSERT_TRUE(engine->Execute("create table b (x int)").ok());
 
-  std::vector<obs::SpanRecord> spans = obs::Trace().Snapshot();
-  std::vector<obs::SpanRecord> executes = SpansNamed(spans, "engine.execute");
-  ASSERT_EQ(executes.size(), 1u);
-  // The worker-side span parents to the submitter's root: one tree, not
-  // an orphan per thread.
-  EXPECT_EQ(executes[0].parent_id, root_id);
-  EXPECT_NE(executes[0].tid, submit_tid);
-}
-
-TEST(EngineTelemetryTest, PooledWorkersDoNotInheritStaleParents) {
-  auto engine = Engine::Create().value();
-  obs::Trace().Clear();
-  // No span is open at submit time, so the worker must record a root
-  // span — even though earlier pooled tasks traced on the same workers.
-  auto future = engine->ExecuteAsync("create table b (x int)");
-  ASSERT_TRUE(future.get().ok());
   std::vector<obs::SpanRecord> executes =
       SpansNamed(obs::Trace().Snapshot(), "engine.execute");
-  ASSERT_EQ(executes.size(), 1u);
-  EXPECT_EQ(executes[0].parent_id, 0u);
+  ASSERT_EQ(executes.size(), 2u);
+  // The statement runs on the caller's thread, under the caller's span:
+  // one tree, not an orphan.
+  EXPECT_EQ(executes[0].parent_id, root_id);
+  EXPECT_EQ(executes[0].tid, obs::CurrentThreadId());
+  EXPECT_EQ(executes[1].parent_id, 0u);
+  EXPECT_EQ(executes[1].tid, obs::CurrentThreadId());
 }
 
 TEST(EngineTelemetryTest, DbcronFiringIsOneTreeWithAuditRecord) {

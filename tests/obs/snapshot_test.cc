@@ -140,14 +140,14 @@ TEST(RenderDashboard, ShowsVitalsFromDeltas) {
   MetricRegistry registry;
   registry.counter("caldb.engine.statements")->Add(100);
   registry.counter("caldb.cron.fires")->Add(3);
-  registry.gauge("caldb.engine.pool.queue_depth")->Set(2);
+  registry.gauge("caldb.engine.active_sessions")->Set(2);
   CounterDeltas deltas(&registry);
   const std::string frame = RenderDashboard(registry, deltas.Step(), 1.0);
   EXPECT_NE(frame.find("statements"), std::string::npos) << frame;
   EXPECT_NE(frame.find("100.0/s engine"), std::string::npos) << frame;
   EXPECT_NE(frame.find("cron"), std::string::npos) << frame;
   EXPECT_NE(frame.find("+3 fires"), std::string::npos) << frame;
-  EXPECT_NE(frame.find("pool"), std::string::npos) << frame;
+  EXPECT_NE(frame.find("sessions     2"), std::string::npos) << frame;
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <thread>
-
 #include <gtest/gtest.h>
 
 #include "tests/obs/json_check.h"
@@ -129,60 +127,6 @@ TEST(Tracer, RingWrapsPastDefaultCapacity) {
   // Oldest surviving span is the 101st; newest is the last started.
   EXPECT_EQ(spans.front().name, "s100");
   EXPECT_EQ(spans.back().name, "s" + std::to_string(kSpans - 1));
-}
-
-TEST(TraceContext, CurrentContextCapturesInnermostSpan) {
-  Tracer tracer(16);
-  EXPECT_EQ(Tracer::CurrentContext().span_id, 0u);
-  {
-    Tracer::Span outer = tracer.StartSpan("outer");
-    EXPECT_EQ(Tracer::CurrentContext().span_id, outer.id());
-    {
-      Tracer::Span inner = tracer.StartSpan("inner");
-      EXPECT_EQ(Tracer::CurrentContext().span_id, inner.id());
-    }
-    EXPECT_EQ(Tracer::CurrentContext().span_id, outer.id());
-  }
-  EXPECT_EQ(Tracer::CurrentContext().span_id, 0u);
-}
-
-TEST(TraceContext, NullContextIsolatesParentage) {
-  Tracer tracer(16);
-  {
-    Tracer::Span outer = tracer.StartSpan("outer");
-    {
-      ScopedTraceContext isolate{TraceContext{}};
-      Tracer::Span orphan = tracer.StartSpan("orphan");
-      EXPECT_EQ(Tracer::CurrentContext().span_id, orphan.id());
-    }
-    // The previous stack is restored, stale entries and all.
-    EXPECT_EQ(Tracer::CurrentContext().span_id, outer.id());
-  }
-  std::vector<SpanRecord> spans = tracer.Snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "orphan");
-  EXPECT_EQ(spans[0].parent_id, 0u);
-}
-
-TEST(TraceContext, AdoptionParentsAcrossThreads) {
-  Tracer tracer(16);
-  uint64_t root_id = 0;
-  {
-    Tracer::Span root = tracer.StartSpan("submit");
-    root_id = root.id();
-    const TraceContext ctx = Tracer::CurrentContext();
-    std::thread worker([&] {
-      ScopedTraceContext adopt{ctx};
-      Tracer::Span child = tracer.StartSpan("work");
-    });
-    worker.join();
-  }
-  std::vector<SpanRecord> spans = tracer.Snapshot();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "work");
-  EXPECT_EQ(spans[0].parent_id, root_id);
-  // The two spans ran on different threads.
-  EXPECT_NE(spans[0].tid, spans[1].tid);
 }
 
 TEST(Tracer, ExportChromeTraceIsValidTraceEventJson) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/calendar.h"
+#include "storage/codec.h"
 #include "time/time_system.h"
 
 namespace caldb::storage {
@@ -151,6 +152,33 @@ TEST(Snapshot, CorruptFileIsAHardError) {
     out << "NOTASNAP" << std::string(32, '\0');
   }
   EXPECT_FALSE(ReadSnapshotFile(path).ok());
+}
+
+// A checksummed image whose zero-column table claims 2^32-1 rows.  Each
+// such row decodes from zero bytes, so only the row count can bound the
+// decoder: it must fail with a Status, not grow rows until allocation
+// fails.
+TEST(Snapshot, ZeroColumnTableWithRowsIsAParseError) {
+  SnapshotImage image;
+  image.epoch = CivilDate{1993, 1, 1};
+  SnapshotImage::TableImage table;
+  table.name = "EMPTY";
+  image.tables.push_back(table);
+  Result<std::string> blob = EncodeSnapshot(image);
+  ASSERT_TRUE(blob.ok()) << blob.status();
+  // The payload ends with the table's row count, then the temporal and
+  // event rule counts.  Patch the row count and re-seal the checksum.
+  std::string bytes = *blob;
+  const size_t row_count_at = bytes.size() - 12;
+  for (size_t i = 0; i < 4; ++i) bytes[row_count_at + i] = '\xFF';
+  std::string crc;
+  PutU32(&crc, Crc32(std::string_view(bytes).substr(20)));
+  bytes.replace(16, 4, crc);
+
+  Result<SnapshotImage> decoded = DecodeSnapshot(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError)
+      << decoded.status();
 }
 
 TEST(Snapshot, CaptureAndRestoreTablesReproducesTheDatabase) {

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
 
   caldb::EngineOptions opts;
   opts.epoch = caldb::CivilDate{1993, 1, 1};
-  opts.pool_threads = 1;
   opts.data_dir = data_dir;
   // Durable-before-acknowledge: an id reaches the ack file only after its
   // statement's WAL frame is fsync'd.

@@ -84,7 +84,6 @@ bool RunBurstAndKill(const std::string& child, const std::string& data_dir,
 EngineOptions RecoveryOptions(const std::string& data_dir) {
   EngineOptions opts;
   opts.epoch = CivilDate{1993, 1, 1};
-  opts.pool_threads = 1;
   opts.data_dir = data_dir;
   opts.fsync_policy = storage::FsyncPolicy::kOff;
   opts.checkpoint_on_stop = false;  // keep the WAL for double-replay checks

@@ -70,10 +70,10 @@ if [[ "$run_tsan" == 1 ]]; then
   # catalog's calendar-value cache across racing redefinitions
   # (tests/engine/engine_stale_cache_test.cc), and the firewall and
   # telemetry tests, whose rule callbacks and DBCRON firings run on the
-  # calling threads next to the pool workers
+  # calling client threads, one session each
   # (tests/engine/engine_firewall_test.cc, engine_telemetry_test.cc).
   # TSan cannot combine with ASan, so it gets its own tree; any data race
-  # in the Engine/LockManager/Session/ThreadPool/catalog locking shows up
+  # in the Engine/LockManager/Session/catalog locking shows up
   # here as a hard failure.
   tsan_dir="$repo_root/build-tsan"
   cmake -B "$tsan_dir" -S "$repo_root" -DCALDB_SANITIZE=thread

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# Every metric registered in src/ must be documented: extract the
-# instrument names from counter("caldb...")/gauge(...)/histogram(...)
-# registration sites and require each to appear, backtick-wrapped, in
-# docs/OBSERVABILITY.md (the "Instrument index" section).
+# Metrics and their documentation must agree, in both directions:
+#  - every metric registered in src/ is documented: extract the
+#    instrument names from counter("caldb...")/gauge(...)/histogram(...)
+#    registration sites and require each to appear, backtick-wrapped, in
+#    docs/OBSERVABILITY.md (the "Instrument index" section);
+#  - every backticked `caldb.*` name in docs/OBSERVABILITY.md is
+#    registered in src/, so a deleted instrument cannot outlive its code
+#    in the docs.  A family wildcard (`caldb.wal.*`) must match at least
+#    one registered name.
 #
 #   tools/lint_metrics.sh
 #
@@ -28,7 +33,23 @@ while IFS= read -r name; do
   fi
 done <<< "$names"
 
-if [[ $missing -ne 0 ]]; then
+documented="$(grep -oE '`caldb\.[A-Za-z0-9_.]+(\*)?`' "$doc" |
+              tr -d '`' | sort -u)"
+
+stale=0
+while IFS= read -r name; do
+  if [[ "$name" == *'*' ]]; then
+    grep -qF "${name%\*}" <<< "$names" && continue
+  else
+    grep -qxF "$name" <<< "$names" && continue
+  fi
+  echo "documented metric not registered in src/: $name" \
+       "(remove it from docs/OBSERVABILITY.md)" >&2
+  stale=1
+done <<< "$documented"
+
+if [[ $missing -ne 0 || $stale -ne 0 ]]; then
   exit 1
 fi
-echo "lint_metrics: $(wc -l <<< "$names") instruments, all documented"
+echo "lint_metrics: $(wc -l <<< "$names") instruments, all documented;" \
+     "$(wc -l <<< "$documented") documented names, all registered"
